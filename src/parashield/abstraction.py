@@ -6,6 +6,14 @@ pair by exact interval arithmetic on the vehicle dynamics; the abstract
 transition relation maps each pair to the set of cells that intersect the
 image box, with a distinguished OUT flag when the image leaves the box in a
 non-periodic dimension.
+
+The synthesis fixed points ask two bulk questions of a state set: which pairs
+have a successor in it, and which have all successors in it.  The boxed
+abstraction answers both with one bitwise test: a per-state word marks which
+offsets of the bounded reach neighbourhood land in the set, a per-(heading
+row, input) kernel marks which offsets the pair's successor box covers, and
+the pair meets the set exactly when the two share a bit.  Words are built
+only around the set, so a question about a few states costs a few states.
 """
 
 from __future__ import annotations
@@ -17,10 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, PointOutOfDomain
+from .synthesis import _pack_bool
 
 TWO_PI = 2.0 * np.pi
 
 _TILE_RTOL = 1e-9
+
+_ROW_BLOCK = 4096   # rows per kernel AND in the hit test; bounds its temporaries
 
 
 class GridSpec:
@@ -301,171 +312,147 @@ def reach_overapprox(cell_box, u, params: DubinsParams):
     return out_lo, out_hi
 
 
-class BoxedAbstraction:
-    """Grid abstraction whose post-sets are boxes of cells.
+def _or_shifted(acc, src, s):
+    """acc |= src << s, for words whose 64-bit lanes run along the last axis."""
+    q, r = divmod(s, 64)
+    n = acc.shape[-1] - q
+    acc[..., q:] |= src[..., :n] << np.uint64(r)
+    if r and n > 1:
+        acc[..., q + 1:] |= src[..., :n - 1] >> np.uint64(64 - r)
 
-    The image of every (cell, input) pair is an axis-aligned box, so the
-    successor set is stored as per-dimension index ranges: a clipped
-    [start, start + length) range for non-periodic dimensions and a wrapped
-    start plus length for periodic ones.  Containment and intersection tests
-    against a state set are box sums over a prefix-sum table, with periodic
-    axes tiled twice so wrapped ranges stay contiguous.
+
+class BoxedAbstraction:
+    """Grid abstraction of the vehicle whose post-sets are boxes of cells.
+
+    The successor box of a pair is its cell shifted by integer offset ranges
+    that depend only on the cell's heading row and the input: the
+    (nt, n_inputs, 3, 2) integer array `offsets` holds at `[it, u, d]` the
+    (lo, hi) shift along dimension d, heading shifts taken modulo the number
+    of heading cells.  In x and y the box is
+    clipped to the grid, and the OUT flag records that it had to be.
+    `starts`, `lengths` and `out` hold the clipped per-pair ranges that
+    `post`, serialization and the content hash read.
+
+    Hit and containment tests use neighbourhood words.  The reach radius R is
+    the largest shift per dimension, so the (2Rx+1)(2Ry+1)(2Rt+1) offsets of
+    the neighbourhood cover every box.  Each (heading row, input) has a kernel
+    whose bit b is set when neighbourhood offset b lies in its box; a state's
+    word has bit b set when offset b from the state lands on a member of the
+    tested set.  A pair meets the set exactly when its word AND its kernel is
+    nonzero (the parts of a box outside the grid hold no member).  Words and
+    kernels take as many 64-bit lanes as the neighbourhood has offsets.
     """
 
-    def __init__(self, grid: GridSpec, inputs: InputGrid, params: DubinsParams,
-                 starts, lengths, out, reach_radius=None):
+    def __init__(self, grid: GridSpec, inputs: InputGrid, params: DubinsParams, offsets):
         self.grid = grid
         self.inputs = inputs
         self.params = params
         self.n_states = grid.n_cells
         self.n_inputs = len(inputs)
-        self.starts = starts          # (n_states, n_inputs, dims) int16, in-box
-        self.lengths = lengths        # (n_states, n_inputs, dims) int16, >= 0
-        self.out = out                # (n_states, n_inputs) bool
-        self.volumes = lengths.astype(np.int64).prod(axis=2)
-        # per-dimension reach radius bounding how far any successor box extends
-        # from its source cell; dilation-restricted rescans rely on it
+        nx, ny, nt = grid.shape
+        ix, iy, it = np.unravel_index(np.arange(self.n_states), grid.shape)
+        self.starts = np.zeros((self.n_states, self.n_inputs, 3), dtype=np.int16)   # in-box
+        self.lengths = np.zeros_like(self.starts)                                   # >= 0
+        self.out = np.zeros((self.n_states, self.n_inputs), dtype=bool)
+        for u in range(self.n_inputs):
+            for d, (i, n) in enumerate(((ix, nx), (iy, ny))):
+                lo = i + offsets[it, u, d, 0]
+                hi = i + offsets[it, u, d, 1]
+                self.out[:, u] |= (lo < 0) | (hi > n - 1)
+                start = np.clip(lo, 0, n - 1)
+                self.starts[:, u, d] = start
+                self.lengths[:, u, d] = (np.clip(hi, 0, n - 1) - start + 1) * ((hi >= 0) & (lo <= n - 1))
+            t_lo, t_hi = offsets[0, u, 2]
+            self.starts[:, u, 2] = (it + t_lo) % nt
+            self.lengths[:, u, 2] = min(t_hi - t_lo + 1, nt)
+        # the radius in heading never needs to exceed half the circle; in x
+        # and y, offsets past the grid's extent never land inside it
         shape = np.asarray(grid.shape, dtype=np.int64)
-        if reach_radius is None:
-            reach_radius = self._radius_from_ranges()
-        radius = np.asarray(reach_radius, dtype=np.int64).copy()
-        per = grid.periodic
-        radius[per] = np.minimum(radius[per], shape[per] // 2 + 1)
-        radius[~per] = np.minimum(radius[~per], shape[~per] - 1)
-        self.reach_radius = radius
-        # flat corner indices into the (fixed-shape) prefix table, precomputed
-        # so box sums are pure gathers
-        pre_shape = np.where(per, 2 * shape, shape) + 1
-        pstrides = np.ones(grid.dims, dtype=np.int64)
-        for d in range(grid.dims - 2, -1, -1):
-            pstrides[d] = pstrides[d + 1] * pre_shape[d + 1]
-        self._pre_shape = tuple(int(v) for v in pre_shape)
-        self._corner_lo = (starts.astype(np.int32) * pstrides.astype(np.int32)).reshape(-1, grid.dims)
-        self._corner_hi = ((starts + lengths).astype(np.int32) * pstrides.astype(np.int32)).reshape(-1, grid.dims)
+        self.reach_radius = np.minimum(np.abs(offsets).max(axis=(0, 1, 3)),
+                                       np.where(grid.periodic, shape // 2, shape - 1))
+        ox, oy, ot = (o.ravel() for o in np.meshgrid(
+            *[np.arange(-r, r + 1) for r in self.reach_radius], indexing="ij"))
+        lo = offsets[..., 0, None]
+        hi = offsets[..., 1, None]
+        inside = ((lo[:, :, 0] <= ox) & (ox <= hi[:, :, 0]) & (lo[:, :, 1] <= oy) & (oy <= hi[:, :, 1])
+                  & ((ot - lo[:, :, 2]) % nt < np.minimum(hi[:, :, 2] - lo[:, :, 2] + 1, nt)))
+        self._kernels = _pack_bool(inside)    # (nt, n_inputs, lanes) uint64
         self._hash = None
-
-    def _radius_from_ranges(self):
-        # conservative fallback: exact offsets for non-periodic dimensions,
-        # full circle for periodic ones (wrapped starts hide the true offset)
-        shape = np.asarray(self.grid.shape, dtype=np.int64)
-        radius = shape.copy()
-        per = self.grid.periodic
-        cell_multi = np.stack(np.unravel_index(np.arange(self.n_states), self.grid.shape), axis=1)
-        for d in range(self.grid.dims):
-            if per[d]:
-                continue
-            lo_off = self.starts[:, :, d].astype(np.int64) - cell_multi[:, d][:, None]
-            hi_off = lo_off + self.lengths[:, :, d].astype(np.int64) - 1
-            radius[d] = max(int(np.abs(lo_off).max()), int(np.abs(hi_off).max()))
-        return radius
 
     # -- bulk primitives used by the synthesis fixed points ---------------
 
-    def _prefix(self, member):
-        """Flat zero-padded prefix sums of a membership array, periodic axes doubled."""
-        a = member.reshape(self.grid.shape).astype(np.int32)
-        for d in range(self.grid.dims):
-            if self.grid.periodic[d]:
-                a = np.concatenate([a, a], axis=d)
-        p = np.zeros(self._pre_shape, dtype=np.int32)
-        p[tuple(slice(1, None) for _ in range(self.grid.dims))] = a
-        for d in range(self.grid.dims):
-            np.cumsum(p, axis=d, out=p)
-        return p.reshape(-1)
+    def _hits(self, removed, within=None):
+        """`pair_hits` without `row_alive`: every pair of the candidate rows."""
+        shape = self.grid.shape
+        rad = [int(r) for r in self.reach_radius]
+        idx = np.flatnonzero(removed)
+        if idx.size == 0:
+            return idx, np.zeros((0, self.n_inputs), dtype=bool)
+        # words are needed on the removed states' x-y bounding box [bx, by]
+        # grown by the radius; the block they read is that box grown once
+        # more, zero past the x-y faces and wrapped in heading
+        bx = idx[0] // (shape[1] * shape[2]), idx[-1] // (shape[1] * shape[2])
+        ys = idx // shape[2] % shape[1]
+        by = int(ys.min()), int(ys.max())
+        x0, x1 = max(bx[0] - rad[0], 0), min(bx[1] + rad[0] + 1, shape[0])
+        y0, y1 = max(by[0] - rad[1], 0), min(by[1] + rad[1] + 1, shape[1])
+        block = np.zeros((x1 - x0 + 2 * rad[0], y1 - y0 + 2 * rad[1], shape[2], self._kernels.shape[2]),
+                         dtype=np.uint64)
+        block[bx[0] - x0 + rad[0]:bx[1] - x0 + rad[0] + 1, by[0] - y0 + rad[1]:by[1] - y0 + rad[1] + 1, :, 0] = \
+            removed.reshape(shape)[bx[0]:bx[1] + 1, by[0]:by[1] + 1]
+        words = np.concatenate((block[:, :, shape[2] - rad[2]:], block, block[:, :, :rad[2]]), axis=2)
+        # one axis at a time, heading first: offset o along an axis sets bit
+        # o * (bits per step of that axis) of the word built so far
+        bits = 1
+        for axis in (2, 1, 0):
+            span = 2 * rad[axis] + 1
+            size = words.shape[axis] - span + 1
+            acc = np.zeros(words.shape[:axis] + (size,) + words.shape[axis + 1:], dtype=np.uint64)
+            for o in range(span):
+                _or_shifted(acc, words[(slice(None),) * axis + (slice(o, o + size),)], o * bits)
+            words = acc
+            bits *= span
+        near = words.any(axis=3)
+        if within is not None:
+            near &= within.reshape(shape)[x0:x1, y0:y1]
+        wx, wy, wt = np.nonzero(near)
+        rows = np.ravel_multi_index((wx + x0, wy + y0, wt), shape)
+        words = words[wx, wy, wt]
+        hits = np.empty((len(rows), self.n_inputs), dtype=bool)
+        for s in range(0, len(rows), _ROW_BLOCK):
+            blk = slice(s, s + _ROW_BLOCK)
+            both = np.take(self._kernels, wt[blk], axis=0)
+            both &= words[blk, None, :]
+            np.not_equal(both[..., 0], 0, out=hits[blk])
+            for lane in range(1, both.shape[2]):
+                hits[blk] |= both[..., lane] != 0
+        return rows, hits
 
-    def _box_sums(self, flat, pair_idx):
-        """Inclusion-exclusion box sums for the given flat pair indices."""
-        dims = self.grid.dims
-        lo = self._corner_lo[pair_idx]
-        hi = self._corner_hi[pair_idx]
-        total = np.zeros(lo.shape[0], dtype=np.int32)
-        for corner in range(1 << dims):
-            idx = np.zeros(lo.shape[0], dtype=np.int32)
-            bits = 0
-            for d in range(dims):
-                if corner >> d & 1:
-                    idx += hi[:, d]
-                    bits += 1
-                else:
-                    idx += lo[:, d]
-            if (dims - bits) % 2 == 0:
-                total += flat[idx]
-            else:
-                total -= flat[idx]
-        return total
-
-    def _pair_indices(self, rows):
-        return (rows[:, None] * self.n_inputs + np.arange(self.n_inputs)).reshape(-1)
-
-    def pair_subset_mask(self, member, rows=None):
+    def pair_subset_mask(self, member):
         """Per-pair test: every in-box successor lies in `member`.
 
         OUT pairs report on their clipped in-box part only; callers mask OUT
-        separately.  With `rows`, only those state rows are tested and other
-        rows report False.
+        separately.
         """
-        flat = self._prefix(member)
-        if rows is None:
-            sums = self._box_sums(flat, slice(None))
-            return sums.reshape(self.n_states, self.n_inputs) == self.volumes
-        res = np.zeros((self.n_states, self.n_inputs), dtype=bool)
-        sums = self._box_sums(flat, self._pair_indices(rows)).reshape(len(rows), self.n_inputs)
-        res[rows] = sums == self.volumes[rows]
-        return res
+        rows, hits = self._hits(~member)
+        ok = np.ones((self.n_states, self.n_inputs), dtype=bool)
+        ok[rows] = ~hits
+        return ok
 
     def pair_hits(self, removed, within=None, row_alive=None):
         """Pairs whose successor box intersects `removed`, as (rows, hits).
 
-        `rows` are the state indices that can possibly be affected (a dilation
-        of the removed set by the reach radius, optionally restricted to
+        `rows` are the states, ascending, within the reach radius of a removed
+        state (a dilation of the removed set, optionally restricted to
         `within`); `hits` is (len(rows), n_inputs).  States outside `rows`
         cannot hit.  `row_alive(rows) -> (len(rows), n_inputs) bool` narrows
-        the test to pairs the caller still cares about; untested pairs report
+        the result to pairs the caller still cares about; the others report
         no hit.
         """
-        cand = self._dilate(removed)
-        if within is not None:
-            cand &= within
-        rows = np.nonzero(cand)[0]
-        if len(rows) == 0:
-            return rows, np.zeros((0, self.n_inputs), dtype=bool)
-        flat = self._prefix(removed)
-        if row_alive is None:
-            sums = self._box_sums(flat, self._pair_indices(rows)).reshape(len(rows), self.n_inputs)
-            return rows, sums > 0
-        alive = row_alive(rows)
-        pos_r, pos_u = np.nonzero(alive)
-        pair_idx = rows[pos_r] * self.n_inputs + pos_u
-        hits = np.zeros((len(rows), self.n_inputs), dtype=bool)
-        hits[pos_r, pos_u] = self._box_sums(flat, pair_idx) > 0
+        rows, hits = self._hits(removed, within)
+        if row_alive is not None and len(rows):
+            hits &= row_alive(rows)
         return rows, hits
-
-    def _dilate(self, member):
-        """Box dilation of a state set by the reach radius, wrapping periodic axes."""
-        a = member.reshape(self.grid.shape)
-        for d in range(self.grid.dims):
-            r = int(self.reach_radius[d])
-            if r == 0:
-                continue
-            acc = a.copy()
-            if self.grid.periodic[d]:
-                for s in range(1, r + 1):
-                    acc |= np.roll(a, s, axis=d)
-                    acc |= np.roll(a, -s, axis=d)
-            else:
-                for s in range(1, r + 1):
-                    src_fwd = [slice(None)] * self.grid.dims
-                    dst_fwd = [slice(None)] * self.grid.dims
-                    src_fwd[d] = slice(0, a.shape[d] - s)
-                    dst_fwd[d] = slice(s, None)
-                    acc[tuple(dst_fwd)] |= a[tuple(src_fwd)]
-                    src_bwd = [slice(None)] * self.grid.dims
-                    dst_bwd = [slice(None)] * self.grid.dims
-                    src_bwd[d] = slice(s, None)
-                    dst_bwd[d] = slice(0, a.shape[d] - s)
-                    acc[tuple(dst_bwd)] |= a[tuple(src_bwd)]
-            a = acc
-        return a.reshape(-1)
 
     # -- per-pair queries --------------------------------------------------
 
@@ -583,16 +570,11 @@ class ExplicitAbstraction:
         succ = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
         return cls(n_states, n_inputs, indptr, succ, out, inputs=inputs, grid=grid)
 
-    def pair_subset_mask(self, member, rows=None):
+    def pair_subset_mask(self, member):
         bad = np.zeros(self.n_states * self.n_inputs, dtype=bool)
         miss = ~member[self.succ]
         bad[self._pair_of[miss]] = True
-        res = (~bad).reshape(self.n_states, self.n_inputs)
-        if rows is not None:
-            keep = np.zeros(self.n_states, dtype=bool)
-            keep[rows] = True
-            res = res & keep[:, None]
-        return res
+        return (~bad).reshape(self.n_states, self.n_inputs)
 
     def pair_hits(self, removed, within=None, row_alive=None):
         hit = np.zeros(self.n_states * self.n_inputs, dtype=bool)
@@ -628,73 +610,37 @@ class ExplicitAbstraction:
 def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -> BoxedAbstraction:
     """Abstract the vehicle over a 3-d grid (x, y periodic-free, heading periodic).
 
-    For every (cell, input) pair the interval image of the cell is computed
-    and converted to successor index ranges.  Shifts are evaluated in index
-    space, floor(delta_lo / eta) and ceil(delta_hi / eta), which keeps the
-    zero-motion case exact: a cell maps to itself alone.  Images exiting the
-    box in x or y set the OUT flag; the stored ranges are the clipped in-box
-    part.
+    The interval image of a cell moves it by a displacement that depends only
+    on its heading row and the input, so index shifts are computed once per
+    (heading row, input) pair, floor(delta_lo / eta) and ceil(delta_hi / eta),
+    which keeps the zero-motion case exact: a cell maps to itself alone.  The
+    per-pair successor ranges, clipped to the box with OUT set where the
+    image leaves it in x or y, are derived from these shifts.
     """
     if grid.dims != 3 or grid.periodic[0] or grid.periodic[1] or not grid.periodic[2]:
         raise GridMismatch("vehicle abstraction expects (x, y, heading) with only the heading periodic")
     if max(grid.shape) >= np.iinfo(np.int16).max:
         raise GridMismatch("grid too fine for int16 successor ranges")
-    nx, ny, nt = grid.shape
+    nt = grid.shape[2]
     t = params.tau
     w = params.disturbance.radius
     eta = grid.eta
 
     th_lo = grid.lower[2] + np.arange(nt) * eta[2]
     th_hi = th_lo + eta[2]
-    cmin, cmax = cos_bounds(th_lo, th_hi)
-    smin, smax = sin_bounds(th_lo, th_hi)
-
-    ix, iy, it = np.unravel_index(np.arange(grid.n_cells), grid.shape)
-    n_inputs = len(inputs)
-    starts = np.zeros((grid.n_cells, n_inputs, 3), dtype=np.int16)
-    lengths = np.zeros((grid.n_cells, n_inputs, 3), dtype=np.int16)
-    out = np.zeros((grid.n_cells, n_inputs), dtype=bool)
-    radius = np.zeros(3, dtype=np.int64)
-
-    for u in range(n_inputs):
-        v, a = inputs[u]
-        dx_lo = t * np.minimum(v * cmin, v * cmax) - w[0]
-        dx_hi = t * np.maximum(v * cmin, v * cmax) + w[0]
-        dy_lo = t * np.minimum(v * smin, v * smax) - w[1]
-        dy_hi = t * np.maximum(v * smin, v * smax) + w[1]
-        # per-heading-row integer shifts; the image interval is half-open at
-        # the top because cells are, so the upper shift uses ceil
-        sx_lo = np.floor(dx_lo / eta[0]).astype(np.int64)
-        sx_hi = np.ceil(dx_hi / eta[0]).astype(np.int64)
-        sy_lo = np.floor(dy_lo / eta[1]).astype(np.int64)
-        sy_hi = np.ceil(dy_hi / eta[1]).astype(np.int64)
-        st_lo = int(np.floor((a * t - w[2]) / eta[2]))
-        st_hi = int(np.ceil((a * t + w[2]) / eta[2]))
-
-        x_lo = ix + sx_lo[it]
-        x_hi = ix + sx_hi[it]
-        y_lo = iy + sy_lo[it]
-        y_hi = iy + sy_hi[it]
-        out[:, u] = (x_lo < 0) | (x_hi > nx - 1) | (y_lo < 0) | (y_hi > ny - 1)
-
-        cx_lo = np.clip(x_lo, 0, nx - 1)
-        cx_hi = np.clip(x_hi, 0, nx - 1)
-        cy_lo = np.clip(y_lo, 0, ny - 1)
-        cy_hi = np.clip(y_hi, 0, ny - 1)
-        starts[:, u, 0] = cx_lo
-        lengths[:, u, 0] = np.maximum(cx_hi - cx_lo + 1, 0) * (x_hi >= 0) * (x_lo <= nx - 1)
-        starts[:, u, 1] = cy_lo
-        lengths[:, u, 1] = np.maximum(cy_hi - cy_lo + 1, 0) * (y_hi >= 0) * (y_lo <= ny - 1)
-
-        t_len = min(st_hi - st_lo + 1, nt)
-        starts[:, u, 2] = (it + st_lo) % nt
-        lengths[:, u, 2] = t_len
-
-        radius[0] = max(radius[0], int(np.abs(sx_lo).max()), int(np.abs(sx_hi).max()))
-        radius[1] = max(radius[1], int(np.abs(sy_lo).max()), int(np.abs(sy_hi).max()))
-        radius[2] = max(radius[2], abs(st_lo), abs(st_hi))
-
-    return BoxedAbstraction(grid, inputs, params, starts, lengths, out, reach_radius=radius)
+    v = inputs.points[:, 0]
+    a = inputs.points[:, 1]
+    # per (heading row, input) index shifts; the image interval is half-open
+    # at the top because cells are, so the upper shift uses ceil
+    offsets = np.empty((nt, len(inputs), 3, 2), dtype=np.int64)
+    for d, (b_min, b_max) in enumerate((cos_bounds(th_lo, th_hi), sin_bounds(th_lo, th_hi))):
+        lo = v * b_min[:, None]
+        hi = v * b_max[:, None]
+        offsets[..., d, 0] = np.floor((t * np.minimum(lo, hi) - w[d]) / eta[d])
+        offsets[..., d, 1] = np.ceil((t * np.maximum(lo, hi) + w[d]) / eta[d])
+    offsets[..., 2, 0] = np.floor((a * t - w[2]) / eta[2])
+    offsets[..., 2, 1] = np.ceil((a * t + w[2]) / eta[2])
+    return BoxedAbstraction(grid, inputs, params, offsets)
 
 
 # -- serialization ----------------------------------------------------------

@@ -59,31 +59,19 @@ class AtomicShieldBank:
     sub-controller of it (the navigation bank is, by monotonicity of safety
     games under shrinking safe sets), tables are stored as sparse diffs
     against the base: composition then copies the base once and scatters a
-    few thousand AND updates instead of streaming every full table.
+    few thousand AND updates instead of streaming every full table.  Such a
+    bank is built from the base table and one `_delta(base, table, i)` per
+    atomic; without a base, `tables` lists every atomic's table.
     """
 
-    def __init__(self, sys, safes, tables, base_id=None):
+    def __init__(self, sys, safes, tables=None, base_id=None, base=None, diffs=None):
         self.sys = sys
         self.safes = list(safes)
         self.base_id = base_id
         self.n_atomics = len(self.safes)
-        if base_id is None:
-            self._tables = list(tables)
-            self._base = None
-            self._diffs = None
-        else:
-            base = tables[base_id]
-            self._base = base
-            self._tables = None
-            self._diffs = []
-            for i, tab in enumerate(tables):
-                if not is_sub_controller(tab, base):
-                    raise ValueError(
-                        f"atomic {i} is not a sub-controller of the base; delta storage is invalid"
-                    )
-                diff = (tab.defined != base.defined) | (tab.masks != base.masks).any(axis=1)
-                idx = np.nonzero(diff)[0].astype(np.int64)
-                self._diffs.append((idx, tab.masks[idx].copy(), tab.defined[idx].copy()))
+        self._tables = None if tables is None else list(tables)
+        self._base = base
+        self._diffs = None if diffs is None else list(diffs)
 
     def table(self, i) -> ControllerTable:
         """Materialize the controller of one atomic."""
@@ -118,35 +106,42 @@ class AtomicShieldBank:
         return tab
 
 
+def _delta(base: ControllerTable, tab: ControllerTable, i):
+    """Sparse diff of a sub-controller of `base`: (rows, masks, defined) of
+    the rows that differ."""
+    if not is_sub_controller(tab, base):
+        raise ValueError(f"atomic {i} is not a sub-controller of the base; delta storage is invalid")
+    diff = (tab.defined != base.defined) | (tab.masks != base.masks).any(axis=1)
+    idx = np.nonzero(diff)[0].astype(np.int64)
+    return idx, tab.masks[idx].copy(), tab.defined[idx].copy()
+
+
 def synthesize_bank(sys, atomics, base_id=None, pool=None) -> AtomicShieldBank:
     """Offline phase: one safety-controller synthesis per atomic safe set.
 
     With a designated base atomic, its controller is synthesized first and the
     remaining runs start from its fixed point whenever their safe set is a
-    subset of the base's (shorter descent, same result).
+    subset of the base's (shorter descent, same result).  Each table is
+    reduced to its diff against the base as soon as it is synthesized, so at
+    most one full table per worker is alive at a time.
     """
     atomics = list(atomics)
+    run = pool.map if pool is not None else map
     if base_id is None:
-        if pool is not None:
-            tables = list(pool.map(lambda s: safety_control(sys, SafetySpec(s)), atomics))
-        else:
-            tables = [safety_control(sys, SafetySpec(s)) for s in atomics]
-        return AtomicShieldBank(sys, atomics, tables, base_id=None)
+        tables = list(run(lambda s: safety_control(sys, SafetySpec(s)), atomics))
+        return AtomicShieldBank(sys, atomics, tables)
 
-    base_table = safety_control(sys, SafetySpec(atomics[base_id]))
+    base = safety_control(sys, SafetySpec(atomics[base_id]))
     base_safe = atomics[base_id].mask
 
-    def synth(i):
+    def synth_delta(i):
         if i == base_id:
-            return base_table
-        warm = base_table if not np.any(atomics[i].mask & ~base_safe) else None
-        return safety_control(sys, SafetySpec(atomics[i]), warm_start=warm)
+            return _delta(base, base, i)
+        warm = base if not np.any(atomics[i].mask & ~base_safe) else None
+        return _delta(base, safety_control(sys, SafetySpec(atomics[i]), warm_start=warm), i)
 
-    if pool is not None:
-        tables = list(pool.map(synth, range(len(atomics))))
-    else:
-        tables = [synth(i) for i in range(len(atomics))]
-    return AtomicShieldBank(sys, atomics, tables, base_id=base_id)
+    diffs = list(run(synth_delta, range(len(atomics))))
+    return AtomicShieldBank(sys, atomics, base_id=base_id, base=base, diffs=diffs)
 
 
 def _repair_blocking(sys, table: ControllerTable):
@@ -154,12 +149,16 @@ def _repair_blocking(sys, table: ControllerTable):
 
     Closure of the factors means no allowed input of the product leaves the
     product domain, so the greatest nonblocking fixed point only ever removes
-    blocking states and then inputs leading into them; everything stays local
-    to the removed region, on the packed representation.
+    blocking states and then inputs leading into them.  Each sweep asks
+    `sys.pair_hits` which allowed inputs reach the states just removed; on a
+    boxed abstraction that test builds neighbourhood words only around those
+    states and ANDs them with the per-(heading row, input) kernels, so the
+    bulk of a sweep's work scales with the removed region, not the grid.  The
+    allowed sets stay packed between sweeps.
     """
     d = table.defined
     masks = table.masks
-    removed = d & ~(masks != 0).any(axis=1)
+    removed = table.blocking().mask
     while removed.any():
         d &= ~removed
         rows, hits = sys.pair_hits(
@@ -288,17 +287,9 @@ def load_bank(path, sys, spot_check=1, rng=None) -> AtomicShieldBank:
         return ControllerTable(n_states, n_inputs, defined, masks)
 
     if base_id < 0:
-        tables = [read_table() for _ in range(n_atomics)]
-        bank = AtomicShieldBank(sys, safes, tables, base_id=None)
+        bank = AtomicShieldBank(sys, safes, [read_table() for _ in range(n_atomics)])
     else:
         base = read_table()
-        bank = AtomicShieldBank.__new__(AtomicShieldBank)
-        bank.sys = sys
-        bank.safes = safes
-        bank.base_id = int(base_id)
-        bank.n_atomics = int(n_atomics)
-        bank._tables = None
-        bank._base = base
         diffs = []
         for _ in range(n_atomics):
             (k,) = struct.unpack_from("<q", data, off)
@@ -311,7 +302,7 @@ def load_bank(path, sys, spot_check=1, rng=None) -> AtomicShieldBank:
             defined = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=kb, offset=off))[:k].astype(bool)
             off += kb
             diffs.append((idx, masks, defined))
-        bank._diffs = diffs
+        bank = AtomicShieldBank(sys, safes, base_id=int(base_id), base=base, diffs=diffs)
 
     if spot_check:
         from .synthesis import controller_equal

@@ -305,3 +305,96 @@ class TestExplicitAbstraction:
         sysm = ExplicitAbstraction.from_map(2, 1, {(0, 0): [1]}, out_pairs=[(1, 0)])
         succ, is_out = sysm.post(1, 0)
         assert len(succ) == 0 and is_out
+
+
+def reach_dilation(grid, radius, member):
+    """States within `radius` (per dimension, heading wrapped) of a member."""
+    cells = np.stack(np.unravel_index(np.flatnonzero(member), grid.shape), axis=1)
+    axes = [np.arange(-r, r + 1) for r in radius]
+    offs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    near = (cells[:, None, :] + offs[None]).reshape(-1, 3)
+    near[:, 2] %= grid.shape[2]
+    inside = np.all((near[:, :2] >= 0) & (near[:, :2] < grid.shape[:2]), axis=1)
+    out = np.zeros(grid.n_cells, dtype=bool)
+    out[np.ravel_multi_index(tuple(near[inside].T), grid.shape)] = True
+    return out
+
+
+def probe_sets(grid, rng):
+    """Seeded random sets: sparse clusters, dense, on the x/y faces, across
+    the heading wrap, and empty."""
+    nx, ny, nt = grid.shape
+    sets = []
+    for _ in range(3):
+        a = np.zeros(grid.shape, dtype=bool)
+        cx, cy = rng.integers(nx), rng.integers(ny)
+        box = (slice(max(cx - 1, 0), cx + 2), slice(max(cy - 1, 0), cy + 2))
+        a[box] = rng.random(a[box].shape) < 0.3
+        sets.append(a)
+    for density in (0.002, 0.3, 0.9):
+        sets.append(rng.random(grid.shape) < density)
+    faces = np.zeros(grid.shape, dtype=bool)
+    faces[0, rng.integers(ny), rng.integers(nt)] = faces[-1, rng.integers(ny), rng.integers(nt)] = True
+    faces[rng.integers(nx), 0, :] = faces[rng.integers(nx), -1, rng.integers(nt)] = True
+    sets.append(faces)
+    wrap = np.zeros(grid.shape, dtype=bool)
+    wrap[nx // 2, ny // 2, [0, nt - 1]] = True
+    wrap[0, ny - 1, [nt - 1]] = True
+    sets.append(wrap)
+    sets.append(np.zeros(grid.shape, dtype=bool))
+    return [s.reshape(-1) for s in sets]
+
+
+def full_hits(sysm, rows, hits):
+    out = np.zeros((sysm.n_states, sysm.n_inputs), dtype=bool)
+    out[rows] = hits
+    return out
+
+
+class TestNeighbourhoodWords:
+    """The boxed abstraction's word/kernel hit and containment tests against
+    the same relation held explicitly, after a save/load round trip."""
+
+    @pytest.fixture(scope="class")
+    def coarse_pair(self, tmp_path_factory):
+        from parashield.bench import DEFAULT_OBSTACLE_MARGIN_CELLS, GRID_PRESETS
+        from parashield.navsim import make_sensing_config
+        eta = GRID_PRESETS["coarse"]
+        cfg = make_sensing_config(eta=eta, obstacle_margin=DEFAULT_OBSTACLE_MARGIN_CELLS * eta[0])
+        return self._pair(build_abstraction(cfg.grid, cfg.inputs, cfg.params), tmp_path_factory)
+
+    @staticmethod
+    def _pair(boxed, tmp_path_factory):
+        path = tmp_path_factory.mktemp("words") / "abs.pshd"
+        save_abstraction(boxed, path)
+        return boxed, load_abstraction(path)
+
+    def _check(self, boxed, explicit, rng):
+        n, m = boxed.n_states, boxed.n_inputs
+        for removed in probe_sets(boxed.grid, rng):
+            within = rng.random(n) < 0.7
+            alive = rng.random((n, m)) < 0.6
+            for w in (None, within):
+                for row_alive in (None, lambda r: alive[r]):
+                    rows, hits = boxed.pair_hits(removed, within=w, row_alive=row_alive)
+                    erows, ehits = explicit.pair_hits(removed, within=w, row_alive=row_alive)
+                    expect_rows = reach_dilation(boxed.grid, boxed.reach_radius, removed)
+                    if w is not None:
+                        expect_rows &= w
+                    assert np.array_equal(rows, np.flatnonzero(expect_rows))
+                    assert hits.shape == (len(rows), m)
+                    assert np.array_equal(full_hits(boxed, rows, hits), full_hits(explicit, erows, ehits))
+            assert np.array_equal(boxed.pair_subset_mask(~removed), explicit.pair_subset_mask(~removed))
+
+    def test_coarse_matches_explicit(self, coarse_pair, rng):
+        boxed, explicit = coarse_pair
+        assert np.prod(2 * boxed.reach_radius + 1) == 45
+        self._check(boxed, explicit, rng)
+
+    def test_neighbourhood_over_64_bits(self, tmp_path_factory, rng):
+        # wide x-y disturbance and a heading disturbance past half the circle
+        # on four heading cells: radius (2, 2, 2) after clipping, 125 offsets
+        boxed = build_abstraction(small_grid(6, 4), small_inputs(), small_params(w=(0.15, 0.15, 3.5)))
+        assert list(boxed.reach_radius) == [2, 2, 2]
+        boxed, explicit = self._pair(boxed, tmp_path_factory)
+        self._check(boxed, explicit, rng)

@@ -17,6 +17,8 @@ from parashield.synthesis import (
     ControllerTable,
     SafetySpec,
     StateSet,
+    _pack_bool,
+    _unpack_bool,
     closure_holds,
     controller_equal,
     cpre,
@@ -261,3 +263,36 @@ class TestControllerSerialization:
         buf = io.StringIO()
         dump_controller(t, buf, grid=grid)
         assert buf.getvalue().startswith("(0, 0, 0) : 0")
+
+
+def pack_reference(allowed):
+    """Per-word packing loop: bit b of word w holds column 64 * w + b."""
+    n, m = allowed.shape
+    out = np.zeros((n, (m + 63) // 64), dtype=np.uint64)
+    for w in range(out.shape[1]):
+        chunk = allowed[:, w * 64:(w + 1) * 64]
+        bits = np.uint64(1) << np.arange(chunk.shape[1], dtype=np.uint64)
+        out[:, w] = np.bitwise_or.reduce(np.where(chunk, bits, np.uint64(0)), axis=1)
+    return out
+
+
+def unpack_reference(masks, m):
+    out = np.zeros((masks.shape[0], m), dtype=bool)
+    for w in range(masks.shape[1]):
+        k = min(64, m - w * 64)
+        shifted = masks[:, w][:, None] >> np.arange(k, dtype=np.uint64)
+        out[:, w * 64:w * 64 + k] = shifted & np.uint64(1) != 0
+    return out
+
+
+class TestBitPacking:
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 85, 130])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), density=st.floats(0.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_loop(self, m, seed, n, density):
+        allowed = np.random.default_rng(seed).random((n, m)) < density
+        packed = _pack_bool(allowed)
+        assert packed.dtype == np.uint64
+        assert np.array_equal(packed, pack_reference(allowed))
+        assert np.array_equal(_unpack_bool(packed, m), unpack_reference(packed, m))
+        assert np.array_equal(_unpack_bool(packed, m), allowed)
