@@ -45,10 +45,8 @@ from .synthesis import (
     cpre,
     is_sub_controller,
     largest_nonblocking,
-    load_controller,
     product,
     safety_control,
-    save_controller,
 )
 
 __version__ = "0.1.0"

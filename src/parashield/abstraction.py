@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import read_artifact, write_artifact
 from .errors import GridMismatch, PointOutOfDomain
 from .synthesis import _pack_bool
 
@@ -331,7 +332,7 @@ class BoxedAbstraction:
     of heading cells.  In x and y the box is
     clipped to the grid, and the OUT flag records that it had to be.
     `starts`, `lengths` and `out` hold the clipped per-pair ranges that
-    `post`, serialization and the content hash read.
+    `post`, `successor_blocks` and the content hash read.
 
     Hit and containment tests use neighbourhood words.  The reach radius R is
     the largest shift per dimension, so the (2Rx+1)(2Ry+1)(2Rt+1) offsets of
@@ -347,6 +348,7 @@ class BoxedAbstraction:
         self.grid = grid
         self.inputs = inputs
         self.params = params
+        self.offsets = offsets
         self.n_states = grid.n_cells
         self.n_inputs = len(inputs)
         nx, ny, nt = grid.shape
@@ -473,7 +475,7 @@ class BoxedAbstraction:
         return np.sort(flat), bool(self.out[cell, u])
 
     def successor_blocks(self, block=4096):
-        """Yield (counts, out_flags, values) over pair blocks for serialization.
+        """Yield (counts, out_flags, values) over blocks of pairs, in pair order.
 
         `values` concatenates the successor lists of the block's pairs in pair
         order, each list sorted; flat indices are expanded from the stored
@@ -526,20 +528,17 @@ class BoxedAbstraction:
 class ExplicitAbstraction:
     """Abstract system with explicitly listed successor sets.
 
-    Used for hand-built automata, randomized test systems, and abstractions
-    loaded back from disk.  Successor lists are stored in one flat array with
-    per-pair offsets.
+    Used for hand-built automata and randomized test systems.  Successor
+    lists are stored in one flat array with per-pair offsets.
     """
 
-    def __init__(self, n_states, n_inputs, indptr, succ, out,
-                 inputs: InputGrid | None = None, grid: GridSpec | None = None):
+    def __init__(self, n_states, n_inputs, indptr, succ, out):
         self.n_states = int(n_states)
         self.n_inputs = int(n_inputs)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.succ = np.asarray(succ, dtype=np.int64)
         self.out = np.asarray(out, dtype=bool).reshape(self.n_states, self.n_inputs)
-        self.inputs = inputs if inputs is not None else InputGrid(np.arange(self.n_inputs, dtype=np.float64))
-        self.grid = grid
+        self.inputs = InputGrid(np.arange(self.n_inputs, dtype=np.float64))
         n_pairs = self.n_states * self.n_inputs
         if self.indptr.size != n_pairs + 1:
             raise ValueError("indptr must have one entry per pair plus one")
@@ -551,7 +550,7 @@ class ExplicitAbstraction:
         self._hash = None
 
     @classmethod
-    def from_map(cls, n_states, n_inputs, post_map, out_pairs=(), inputs=None, grid=None):
+    def from_map(cls, n_states, n_inputs, post_map, out_pairs=()):
         """Build from {(state, input): iterable of successors} plus OUT pairs."""
         out = np.zeros((n_states, n_inputs), dtype=bool)
         for (x, u) in out_pairs:
@@ -568,7 +567,7 @@ class ExplicitAbstraction:
                 chunks.append(succ)
                 indptr[x * n_inputs + u + 1] = indptr[x * n_inputs + u] + succ.size
         succ = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        return cls(n_states, n_inputs, indptr, succ, out, inputs=inputs, grid=grid)
+        return cls(n_states, n_inputs, indptr, succ, out)
 
     def pair_subset_mask(self, member):
         bad = np.zeros(self.n_states * self.n_inputs, dtype=bool)
@@ -645,103 +644,36 @@ def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -
 
 # -- serialization ----------------------------------------------------------
 
-_MAGIC = b"PSHD1"
+_ABSTRACTION_DTYPES = {
+    "lower": np.float64, "upper": np.float64, "eta": np.float64, "periodic": bool,
+    "inputs": np.float64, "tau": np.float64, "disturbance": np.float64, "offsets": np.int64,
+}
 
 
-def save_abstraction(sys, path):
-    """Write the transition relation: header, then per pair a length-prefixed
-    sorted successor list with an OUT bit folded into the prefix's top bit."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        has_grid = getattr(sys, "grid", None) is not None
-        f.write(struct.pack("<B", 1 if has_grid else 0))
-        if has_grid:
-            g = sys.grid
-            f.write(struct.pack("<i", g.dims))
-            f.write(g.lower.tobytes())
-            f.write(g.upper.tobytes())
-            f.write(g.eta.tobytes())
-            f.write(g.periodic.astype(np.uint8).tobytes())
-        pts = sys.inputs.points
-        f.write(struct.pack("<ii", *pts.shape))
-        f.write(pts.tobytes())
-        f.write(struct.pack("<qq", sys.n_states, sys.n_inputs))
-        for counts, outs, values in _successor_stream(sys):
-            # interleave one length-prefix word (OUT bit on top) per pair with
-            # its sorted successor indices
-            rec = np.empty(int(counts.sum()) + len(counts), dtype=np.uint32)
-            ppos = np.arange(len(counts), dtype=np.int64) + np.concatenate(
-                ([0], np.cumsum(counts[:-1])))
-            rec[ppos] = counts.astype(np.uint32) | (outs.astype(np.uint32) << 31)
-            fill = np.ones(rec.size, dtype=bool)
-            fill[ppos] = False
-            rec[fill] = values.astype(np.uint32)
-            f.write(rec.tobytes())
+def save_abstraction(sys: BoxedAbstraction, path):
+    """Write what the abstraction is built from: grid, input points, vehicle
+    parameters and the per-(heading row, input) shift table."""
+    g = sys.grid
+    write_artifact(path, "abstraction", sys.content_hash, {
+        "lower": g.lower, "upper": g.upper, "eta": g.eta, "periodic": g.periodic,
+        "inputs": sys.inputs.points, "tau": np.float64(sys.params.tau),
+        "disturbance": sys.params.disturbance.radius, "offsets": sys.offsets,
+    })
 
 
-def _successor_stream(sys, block=4096):
-    if hasattr(sys, "successor_blocks"):
-        yield from sys.successor_blocks(block)
-        return
-    n_pairs = sys.n_states * sys.n_inputs
-    for ofs in range(0, n_pairs, block):
-        hi = min(ofs + block, n_pairs)
-        counts = np.empty(hi - ofs, dtype=np.int64)
-        outs = np.empty(hi - ofs, dtype=bool)
-        chunks = []
-        for i in range(ofs, hi):
-            succ, is_out = sys.post(i // sys.n_inputs, i % sys.n_inputs)
-            counts[i - ofs] = len(succ)
-            outs[i - ofs] = is_out
-            chunks.append(succ)
-        yield counts, outs, (np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64))
-
-
-def load_abstraction(path) -> ExplicitAbstraction:
-    """Read a file written by save_abstraction back into an explicit system."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:5] != _MAGIC:
-        raise ValueError("not an abstraction file (bad magic)")
-    off = 5
-    (has_grid,) = struct.unpack_from("<B", data, off)
-    off += 1
-    grid = None
-    if has_grid:
-        (dims,) = struct.unpack_from("<i", data, off)
-        off += 4
-        lower = np.frombuffer(data, dtype=np.float64, count=dims, offset=off).copy()
-        off += dims * 8
-        upper = np.frombuffer(data, dtype=np.float64, count=dims, offset=off).copy()
-        off += dims * 8
-        eta = np.frombuffer(data, dtype=np.float64, count=dims, offset=off).copy()
-        off += dims * 8
-        periodic = np.frombuffer(data, dtype=np.uint8, count=dims, offset=off).astype(bool)
-        off += dims
-        grid = GridSpec(lower, upper, eta, periodic)
-    m, k = struct.unpack_from("<ii", data, off)
-    off += 8
-    pts = np.frombuffer(data, dtype=np.float64, count=m * k, offset=off).reshape(m, k).copy()
-    off += m * k * 8
-    n_states, n_inputs = struct.unpack_from("<qq", data, off)
-    off += 16
-    n_pairs = n_states * n_inputs
-    indptr = np.zeros(n_pairs + 1, dtype=np.int64)
-    out = np.zeros(n_pairs, dtype=bool)
-    chunks = []
-    for i in range(n_pairs):
-        (prefix,) = struct.unpack_from("<I", data, off)
-        off += 4
-        count = prefix & 0x7FFFFFFF
-        out[i] = bool(prefix >> 31)
-        chunk = np.frombuffer(data, dtype=np.uint32, count=count, offset=off).astype(np.int64)
-        off += 4 * count
-        chunks.append(chunk)
-        indptr[i + 1] = indptr[i] + count
-    succ = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return ExplicitAbstraction(n_states, n_inputs, indptr, succ,
-                               out.reshape(n_states, n_inputs),
-                               inputs=InputGrid(pts), grid=grid)
+def load_abstraction(path) -> BoxedAbstraction:
+    """Rebuild an abstraction written by save_abstraction; rejects a file
+    whose contents do not reproduce its stored content hash."""
+    content_hash, a = read_artifact(path, "abstraction", _ABSTRACTION_DTYPES)
+    grid = GridSpec(a["lower"], a["upper"], a["eta"], a["periodic"])
+    inputs = InputGrid(a["inputs"])
+    offsets = a["offsets"]
+    if grid.dims != 3 or offsets.shape != (grid.shape[2], len(inputs), 3, 2):
+        raise ValueError(f"{path}: shift table of shape {offsets.shape} does not fit the grid and inputs")
+    sys = BoxedAbstraction(grid, inputs, DubinsParams(float(a["tau"]), DisturbanceBox(a["disturbance"])), offsets)
+    if sys.content_hash != content_hash:
+        raise ValueError(f"{path}: contents do not match the stored content hash")
+    return sys
 
 
 def dump_abstraction(sys, fh):

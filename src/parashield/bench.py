@@ -9,15 +9,27 @@ columns are comparable.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
+import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .abstraction import ExplicitAbstraction
-from .navsim import NavRuntime, WorldParams, feasible_world, make_sensing_config, run_episode
-from .shield import compose, synthesize_bank
+from .abstraction import ExplicitAbstraction, build_abstraction
+from .navsim import (
+    ColumnLayout,
+    NavRuntime,
+    SensingConfig,
+    WorldParams,
+    feasible_world,
+    make_atomics,
+    make_sensing_config,
+    run_episode,
+)
+from .shield import load_bank, save_bank, synthesize_bank
 from .synthesis import (
     ControllerTable,
     SafetySpec,
@@ -36,9 +48,6 @@ GRID_PRESETS = {
     "fine": (0.06, 0.06, 0.20),
 }
 
-INPUT_ETA = (0.2, 0.5)
-
-
 @dataclass
 class BenchConfig:
     """Full-protocol settings; defaults mirror the experimental setup."""
@@ -48,7 +57,6 @@ class BenchConfig:
     seed: int = 0
     max_steps: int = 200
     threads: int = 1
-    out_dir: str = "."
     world_params: WorldParams = field(default_factory=WorldParams)
 
     def __post_init__(self):
@@ -92,20 +100,55 @@ def emit_results(rows, path):
 DEFAULT_OBSTACLE_MARGIN_CELLS = 0.0
 
 
-def build_runtime(preset, obstacle_margin=None, pool=None) -> NavRuntime:
-    """Abstraction plus atomic-shield bank for one grid preset."""
+def preset_config(preset) -> SensingConfig:
     eta = GRID_PRESETS[preset]
-    if obstacle_margin is None:
-        obstacle_margin = DEFAULT_OBSTACLE_MARGIN_CELLS * eta[0]
-    cfg = make_sensing_config(eta=eta, obstacle_margin=obstacle_margin)
-    return NavRuntime(cfg, pool=pool)
+    return make_sensing_config(eta=eta, obstacle_margin=DEFAULT_OBSTACLE_MARGIN_CELLS * eta[0])
 
 
-def run_bench(cfg: BenchConfig, rt: NavRuntime | None = None, modes=("dynamic", "pure-online")):
+def _source_digest():
+    """Digest of the parashield sources; part of the bank cache key, so a
+    changed program never loads a bank an older one built."""
+    h = hashlib.sha256()
+    src = Path(__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        h.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def build_runtime(preset, cache_dir=None, pool=None) -> NavRuntime:
+    """Abstraction plus atomic-shield bank for one grid preset.
+
+    With a `cache_dir`, the bank is loaded from the file keyed by preset,
+    content hash and source digest there; a file that fails to load is
+    rebuilt, and a freshly synthesized bank is written there atomically.
+    """
+    cfg = preset_config(preset)
+    t0 = time.perf_counter()
+    sys = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
+    t1 = time.perf_counter()
+    atomics = make_atomics(cfg.grid, cfg.d, cfg.epsilon)
+    bank = path = None
+    if cache_dir is not None:
+        path = Path(cache_dir) / f"bank_{preset}_{sys.content_hash[:16]}_{_source_digest()[:16]}.pshb"
+        if path.exists():
+            try:
+                bank = load_bank(path, sys)
+            except ValueError:    # malformed, or AbstractionMismatch
+                path.unlink()
+    if bank is None:
+        bank = synthesize_bank(sys, atomics, base_id=0, pool=pool)
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            save_bank(bank, tmp)
+            os.replace(tmp, path)
+    return NavRuntime(cfg, sys, ColumnLayout(cfg.grid, cfg.d), atomics, bank,
+                      abstraction_seconds=t1 - t0, bank_seconds=time.perf_counter() - t1)
+
+
+def run_bench(cfg: BenchConfig, rt: NavRuntime, modes=("dynamic", "pure-online")):
     """Run the full protocol: per instance, one episode per shield mode on the
     same seed, timing the shield-update stage of each."""
-    if rt is None:
-        rt = build_runtime(cfg.preset)
     rows = []
     for i in range(cfg.instances):
         world = feasible_world(rt, cfg.seed + 1000 * i + 1, cfg.world_params)

@@ -60,7 +60,7 @@ def _pool(args):
 
 def cmd_abstract(args):
     out = _out_dir(args)
-    rt_cfg = bench_mod.make_sensing_config(eta=bench_mod.GRID_PRESETS[args.grid_preset])
+    rt_cfg = bench_mod.preset_config(args.grid_preset)
     t0 = time.perf_counter()
     sysm = build_abstraction(rt_cfg.grid, rt_cfg.inputs, rt_cfg.params)
     dt = time.perf_counter() - t0
@@ -79,13 +79,13 @@ def cmd_synth_bank(args):
     path = os.path.join(out, f"bank_{args.grid_preset}.pshb")
     save_bank(rt.bank, path)
     print(f"Abstraction: {rt.abstraction_seconds:.2f} s")
-    print(f"Synthesis: {rt.synthesis_seconds:.2f} s ({rt.bank.n_atomics} atomic controllers) -> {path}")
+    print(f"Synthesis: {rt.bank_seconds:.2f} s ({rt.bank.n_atomics} atomic controllers) -> {path}")
     return 0
 
 
 def cmd_run(args):
     out = _out_dir(args)
-    rt = bench_mod.build_runtime(args.grid_preset)
+    rt = bench_mod.build_runtime(args.grid_preset, cache_dir=out)
     if args.world:
         world = load_world(args.world)
     else:
@@ -102,9 +102,9 @@ def cmd_bench(args):
     out = _out_dir(args)
     cfg = bench_mod.BenchConfig(
         preset=args.grid_preset, instances=args.instances, seed=args.seed,
-        max_steps=args.max_steps, threads=args.threads, out_dir=out,
+        max_steps=args.max_steps, threads=args.threads,
     )
-    rows, _ = bench_mod.run_bench(cfg)
+    rows, _ = bench_mod.run_bench(cfg, bench_mod.build_runtime(args.grid_preset, cache_dir=out))
     path = os.path.join(out, f"results_{args.grid_preset}.csv")
     bench_mod.emit_results(rows, path)
     unsafe = sum(1 for r in rows if not r.safe)
@@ -122,14 +122,11 @@ def cmd_verify_oracle(args):
 
 
 def cmd_query(args):
-    from .navsim import make_atomics
-    from .shield import synthesize_bank
-    cfg = bench_mod.make_sensing_config(eta=bench_mod.GRID_PRESETS[args.grid_preset])
-    sysm = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
+    cfg = bench_mod.preset_config(args.grid_preset)
     if args.bank:
-        bank = load_bank(args.bank, sysm)
+        bank = load_bank(args.bank, build_abstraction(cfg.grid, cfg.inputs, cfg.params))
     else:
-        bank = synthesize_bank(sysm, make_atomics(cfg.grid, cfg.d, cfg.epsilon), base_id=0)
+        bank = bench_mod.build_runtime(args.grid_preset, cache_dir=_out_dir(args)).bank
     active = [int(t) for t in args.active.split(",")] if args.active else [0]
     if 0 not in active:
         active = [0] + active
@@ -175,7 +172,7 @@ def make_parser():
 
     pq = sub.add_parser("query", help="one shield decision for a cell and proposed input")
     _add_common(pq)
-    pq.add_argument("--bank", default=None, help="bank file (default: synthesize in process)")
+    pq.add_argument("--bank", default=None, help="bank file (default: the bank cached in --out)")
     pq.add_argument("--active", default="", help="comma-separated atomic ids (fence id 0 is implied)")
     pq.add_argument("--cell", required=True, help="cell multi-index, e.g. 13,13,10")
     pq.add_argument("--propose", required=True, help="proposed input, e.g. 0.4,0.0")

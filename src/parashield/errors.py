@@ -14,7 +14,7 @@ class UniverseMismatch(ValueError):
 
 
 class AbstractionMismatch(ValueError):
-    """A serialized controller or bank is keyed to a different abstraction."""
+    """A serialized bank is keyed to a different abstraction."""
 
 
 class DomainViolation(RuntimeError):

@@ -17,16 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abstraction import (
+    BoxedAbstraction,
     DisturbanceBox,
     DubinsParams,
     GridSpec,
     InputGrid,
-    build_abstraction,
     dubins_step,
     wrap_angle,
 )
 from .errors import DomainViolation, GenerationFailed, GridMismatch
-from .shield import compose, pure_online_shield, shield_apply, synthesize_bank
+from .shield import AtomicShieldBank, compose, pure_online_shield, shield_apply
 from .synthesis import StateSet
 
 
@@ -168,9 +168,6 @@ class ColumnLayout:
         self.n_interior = self.n_ix * self.n_iy
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
 
-    def is_interior(self, ix, iy):
-        return self.ix0 <= ix <= self.ix1 and self.iy0 <= iy <= self.iy1
-
     def id_of(self, ix, iy):
         return 1 + (ix - self.ix0) * self.n_iy + (iy - self.iy0)
 
@@ -274,20 +271,18 @@ def scripted_controller(pose, goal, cfg: SensingConfig):
     return cfg.inputs[cfg.inputs.nearest((v_cmd, a_cmd))]
 
 
+@dataclass
 class NavRuntime:
-    """Everything the episode loop needs for one shield configuration."""
+    """Everything the episode loop needs for one shield configuration, as
+    assembled by `parashield.bench.build_runtime`."""
 
-    def __init__(self, cfg: SensingConfig, pool=None):
-        self.cfg = cfg
-        t0 = time.perf_counter()
-        self.sys = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
-        t1 = time.perf_counter()
-        self.layout = ColumnLayout(cfg.grid, cfg.d)
-        self.atomics = make_atomics(cfg.grid, cfg.d, cfg.epsilon)
-        self.bank = synthesize_bank(self.sys, self.atomics, base_id=0, pool=pool)
-        t2 = time.perf_counter()
-        self.abstraction_seconds = t1 - t0
-        self.synthesis_seconds = t2 - t1
+    cfg: SensingConfig
+    sys: BoxedAbstraction
+    layout: ColumnLayout
+    atomics: list
+    bank: AtomicShieldBank
+    abstraction_seconds: float
+    bank_seconds: float    # synthesis, or loading when the bank was cached
 
 
 @dataclass

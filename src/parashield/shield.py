@@ -12,11 +12,11 @@ a handful of bitwise ANDs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import read_artifact, write_artifact
 from .errors import AbstractionMismatch, DomainViolation, EmptyActiveSet
 from .synthesis import (
     ControllerTable,
@@ -24,8 +24,8 @@ from .synthesis import (
     StateSet,
     _pack_bool,
     _unpack_bool,
+    controller_equal,
     is_sub_controller,
-    product,
     safety_control,
 )
 
@@ -55,34 +55,31 @@ class Shield:
 class AtomicShieldBank:
     """One maximally permissive controller per atomic safe set.
 
-    When a base atomic is designated and every other controller is a
-    sub-controller of it (the navigation bank is, by monotonicity of safety
-    games under shrinking safe sets), tables are stored as sparse diffs
-    against the base: composition then copies the base once and scatters a
-    few thousand AND updates instead of streaming every full table.  Such a
-    bank is built from the base table and one `_delta(base, table, i)` per
-    atomic; without a base, `tables` lists every atomic's table.
+    Every table is stored as a sparse diff against one base controller that
+    all of them are sub-controllers of: a designated base atomic (the
+    navigation bank's fence; the others are below it by monotonicity of
+    safety games under shrinking safe sets) or, without one, the universe
+    controller that allows every input not leaving the grid.  Composition
+    then copies the base once and scatters a few thousand AND updates instead
+    of streaming every full table.  The diffs of all atomics are concatenated:
+    atomic i owns rows `ptr[i]:ptr[i + 1]` of `idx` (states), `masks` and
+    `defined`.
     """
 
-    def __init__(self, sys, safes, tables=None, base_id=None, base=None, diffs=None):
+    def __init__(self, sys, safes, base, ptr, idx, masks, defined):
         self.sys = sys
         self.safes = list(safes)
-        self.base_id = base_id
         self.n_atomics = len(self.safes)
-        self._tables = None if tables is None else list(tables)
-        self._base = base
-        self._diffs = None if diffs is None else list(diffs)
+        self.base = base
+        self.ptr = ptr
+        self.idx = idx
+        self.masks = masks
+        self.defined = defined
 
     def table(self, i) -> ControllerTable:
-        """Materialize the controller of one atomic."""
-        if self._tables is not None:
-            return self._tables[i]
-        tab = self._base.copy()
-        idx, masks, defined = self._diffs[i]
-        tab.masks[idx] = masks
-        tab.defined[idx] = defined
-        tab.masks[~tab.defined] = 0
-        return tab
+        """Materialize the controller of one atomic: its diff rows are
+        sub-rows of the base, so ANDing them in is the same as storing them."""
+        return self.raw_product([i])
 
     def raw_product(self, active) -> ControllerTable:
         """Product of the active atomic controllers, blocking states kept."""
@@ -92,16 +89,12 @@ class AtomicShieldBank:
         for i in ids:
             if i < 0 or i >= self.n_atomics:
                 raise IndexError(f"atomic id {i} out of range")
-        if self._diffs is None:
-            tab = self._tables[ids[0]].copy()
-            for i in ids[1:]:
-                tab = product(tab, self._tables[i])
-            return tab
-        tab = self._base.copy()
+        tab = self.base.copy()
         for i in ids:
-            idx, masks, defined = self._diffs[i]
-            tab.masks[idx] &= masks
-            tab.defined[idx] &= defined
+            rows = slice(self.ptr[i], self.ptr[i + 1])
+            idx = self.idx[rows]
+            tab.masks[idx] &= self.masks[rows]
+            tab.defined[idx] &= self.defined[rows]
         tab.masks[~tab.defined] = 0
         return tab
 
@@ -119,20 +112,21 @@ def _delta(base: ControllerTable, tab: ControllerTable, i):
 def synthesize_bank(sys, atomics, base_id=None, pool=None) -> AtomicShieldBank:
     """Offline phase: one safety-controller synthesis per atomic safe set.
 
-    With a designated base atomic, its controller is synthesized first and the
-    remaining runs start from its fixed point whenever their safe set is a
-    subset of the base's (shorter descent, same result).  Each table is
-    reduced to its diff against the base as soon as it is synthesized, so at
-    most one full table per worker is alive at a time.
+    The base is the controller of atomic `base_id`, or the universe
+    controller without one.  Every run whose safe set is a subset of the
+    base's starts from the base's fixed point (shorter descent, same result;
+    from the universe controller it is exactly the cold start).  Each table
+    is reduced to its diff against the base as soon as it is synthesized, so
+    at most one full table per worker is alive at a time.
     """
     atomics = list(atomics)
     run = pool.map if pool is not None else map
     if base_id is None:
-        tables = list(run(lambda s: safety_control(sys, SafetySpec(s)), atomics))
-        return AtomicShieldBank(sys, atomics, tables)
-
-    base = safety_control(sys, SafetySpec(atomics[base_id]))
-    base_safe = atomics[base_id].mask
+        base = ControllerTable.from_bool(np.ones(sys.n_states, dtype=bool), ~sys.out)
+        base_safe = np.ones(sys.n_states, dtype=bool)
+    else:
+        base = safety_control(sys, SafetySpec(atomics[base_id]))
+        base_safe = atomics[base_id].mask
 
     def synth_delta(i):
         if i == base_id:
@@ -141,7 +135,9 @@ def synthesize_bank(sys, atomics, base_id=None, pool=None) -> AtomicShieldBank:
         return _delta(base, safety_control(sys, SafetySpec(atomics[i]), warm_start=warm), i)
 
     diffs = list(run(synth_delta, range(len(atomics))))
-    return AtomicShieldBank(sys, atomics, base_id=base_id, base=base, diffs=diffs)
+    ptr = np.cumsum([0] + [len(d[0]) for d in diffs], dtype=np.int64)
+    idx, masks, defined = (np.concatenate(parts) for parts in zip(*diffs))
+    return AtomicShieldBank(sys, atomics, base, ptr, idx, masks, defined)
 
 
 def _repair_blocking(sys, table: ControllerTable):
@@ -222,93 +218,55 @@ def shield_apply(shield: Shield, cell, proposed) -> ShieldDecision:
 
 # -- serialization ------------------------------------------------------------
 
-_MAGIC = b"PSHB1"
+_BANK_DTYPES = {
+    "safes": np.uint8, "base_defined": np.uint8, "base_masks": np.uint64,
+    "ptr": np.int64, "idx": np.int64, "masks": np.uint64, "defined": np.uint8,
+}
 
 
 def save_bank(bank: AtomicShieldBank, path):
-    """Bundle the abstraction hash and all atomic tables in one file."""
-    sys = bank.sys
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        digest = sys.content_hash.encode("ascii")
-        f.write(struct.pack("<B", len(digest)))
-        f.write(digest)
-        base_id = -1 if bank.base_id is None else bank.base_id
-        f.write(struct.pack("<qqqq", bank.n_atomics, sys.n_states, sys.n_inputs, base_id))
-        for s in bank.safes:
-            f.write(np.packbits(s.mask).tobytes())
-        if bank.base_id is None:
-            for i in range(bank.n_atomics):
-                tab = bank.table(i)
-                f.write(np.packbits(tab.defined).tobytes())
-                f.write(tab.masks.tobytes())
-        else:
-            f.write(np.packbits(bank._base.defined).tobytes())
-            f.write(bank._base.masks.tobytes())
-            for idx, masks, defined in bank._diffs:
-                f.write(struct.pack("<q", len(idx)))
-                f.write(idx.tobytes())
-                f.write(masks.tobytes())
-                f.write(np.packbits(defined).tobytes())
+    """Write the safe sets, the base and the concatenated diffs, keyed by the
+    abstraction's content hash; bit arrays are packed."""
+    write_artifact(path, "bank", bank.sys.content_hash, {
+        "safes": np.array([np.packbits(s.mask) for s in bank.safes]),
+        "base_defined": np.packbits(bank.base.defined),
+        "base_masks": bank.base.masks,
+        "ptr": bank.ptr,
+        "idx": bank.idx,
+        "masks": bank.masks,
+        "defined": np.packbits(bank.defined),
+    })
 
 
 def load_bank(path, sys, spot_check=1, rng=None) -> AtomicShieldBank:
-    """Load a bank; rejects the wrong abstraction and spot-checks a few tables
-    against fresh synthesis."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:5] != _MAGIC:
-        raise ValueError("not a bank file (bad magic)")
-    off = 5
-    (hlen,) = struct.unpack_from("<B", data, off)
-    off += 1
-    digest = data[off:off + hlen].decode("ascii")
-    off += hlen
-    if digest != sys.content_hash:
+    """Load a bank; rejects the wrong abstraction (AbstractionMismatch) and
+    malformed contents (ValueError), and checks `spot_check` tables drawn at
+    random against fresh synthesis."""
+    content_hash, a = read_artifact(path, "bank", _BANK_DTYPES)
+    if content_hash != sys.content_hash:
         raise AbstractionMismatch("bank was synthesized for a different abstraction")
-    n_atomics, n_states, n_inputs, base_id = struct.unpack_from("<qqqq", data, off)
-    off += 32
-    if n_states != sys.n_states or n_inputs != sys.n_inputs:
-        raise AbstractionMismatch("bank shape does not match the abstraction")
-    words = (n_inputs + 63) // 64
-    nbytes = (n_states + 7) // 8
-    safes = []
-    for _ in range(n_atomics):
-        mask = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off))[:n_states].astype(bool)
-        off += nbytes
-        safes.append(StateSet(mask))
-
-    def read_table():
-        nonlocal off
-        defined = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off))[:n_states].astype(bool)
-        off2 = off + nbytes
-        masks = np.frombuffer(data, dtype=np.uint64, count=n_states * words, offset=off2).reshape(n_states, words).copy()
-        off = off2 + n_states * words * 8
-        return ControllerTable(n_states, n_inputs, defined, masks)
-
-    if base_id < 0:
-        bank = AtomicShieldBank(sys, safes, [read_table() for _ in range(n_atomics)])
-    else:
-        base = read_table()
-        diffs = []
-        for _ in range(n_atomics):
-            (k,) = struct.unpack_from("<q", data, off)
-            off += 8
-            idx = np.frombuffer(data, dtype=np.int64, count=k, offset=off).copy()
-            off += 8 * k
-            masks = np.frombuffer(data, dtype=np.uint64, count=k * words, offset=off).reshape(k, words).copy()
-            off += 8 * k * words
-            kb = (k + 7) // 8
-            defined = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=kb, offset=off))[:k].astype(bool)
-            off += kb
-            diffs.append((idx, masks, defined))
-        bank = AtomicShieldBank(sys, safes, base_id=int(base_id), base=base, diffs=diffs)
-
-    if spot_check:
-        from .synthesis import controller_equal
-        rng = np.random.default_rng(0) if rng is None else rng
-        for i in rng.choice(n_atomics, size=min(spot_check, n_atomics), replace=False):
-            fresh = safety_control(sys, SafetySpec(bank.safes[int(i)]))
-            if not controller_equal(fresh, bank.table(int(i))):
-                raise AbstractionMismatch(f"stored table {int(i)} does not match fresh synthesis")
+    n, words = sys.n_states, (sys.n_inputs + 63) // 64
+    ptr, idx = a["ptr"], a["idx"]
+    n_atomics, k = ptr.size - 1, idx.size
+    shapes = {"safes": (n_atomics, (n + 7) // 8), "base_defined": ((n + 7) // 8,),
+              "base_masks": (n, words), "ptr": (n_atomics + 1,), "idx": (k,), "masks": (k, words),
+              "defined": ((k + 7) // 8,)}
+    for name, shape in shapes.items():
+        if a[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {a[name].shape}, expected {shape}")
+    if n_atomics < 1 or ptr[0] != 0 or ptr[-1] != k or np.any(np.diff(ptr) < 0):
+        raise ValueError(f"{path}: diff offsets are not monotone from 0 to {k}")
+    if k and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"{path}: diff rows outside [0, {n})")
+    base = ControllerTable(n, sys.n_inputs, np.unpackbits(a["base_defined"], count=n).view(bool), a["base_masks"])
+    # one array per safe set, as synthesis makes them: one block for all of
+    # them raised a fine-preset process's peak resident size by about 35 MB
+    safes = [StateSet(np.unpackbits(row, count=n).view(bool)) for row in a["safes"]]
+    bank = AtomicShieldBank(sys, safes, base, ptr, idx, a["masks"],
+                            np.unpackbits(a["defined"], count=k).view(bool))
+    rng = np.random.default_rng() if rng is None else rng
+    for i in rng.choice(n_atomics, size=min(spot_check, n_atomics), replace=False):
+        fresh = safety_control(sys, SafetySpec(bank.safes[int(i)]))
+        if not controller_equal(fresh, bank.table(int(i))):
+            raise AbstractionMismatch(f"stored table {int(i)} does not match fresh synthesis")
     return bank

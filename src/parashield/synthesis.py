@@ -10,11 +10,11 @@ meets the freshly removed cells.
 
 from __future__ import annotations
 
-import struct
+import copy
 
 import numpy as np
 
-from .errors import AbstractionMismatch, UniverseMismatch
+from .errors import UniverseMismatch
 
 
 class StateSet:
@@ -164,7 +164,10 @@ class ControllerTable:
             raise UniverseMismatch("controller tables over different universes")
 
     def copy(self):
-        return ControllerTable(self.n_states, self.n_inputs, self.defined.copy(), self.masks.copy())
+        # the source is already canonical, so `__init__` is skipped
+        tab = copy.copy(self)
+        tab.defined, tab.masks = self.defined.copy(), self.masks.copy()
+        return tab
 
 
 def controller_equal(c1: ControllerTable, c2: ControllerTable) -> bool:
@@ -238,21 +241,16 @@ def product(c1: ControllerTable, c2: ControllerTable) -> ControllerTable:
     return ControllerTable(c1.n_states, c1.n_inputs, c1.defined & c2.defined, c1.masks & c2.masks)
 
 
-def largest_nonblocking(sys, table: ControllerTable, _trusted_closed=False) -> ControllerTable:
+def largest_nonblocking(sys, table: ControllerTable) -> ControllerTable:
     """Largest sub-controller in which every domain state keeps some input.
 
     Greatest fixed point of D -> {x in D : some allowed input keeps all
-    successors in D}, starting from the table's domain.  With
-    `_trusted_closed` the initial containment sweep is skipped; valid only
-    when every allowed input of the table already maps into the domain, as
-    holds for products of safety controllers.
+    successors in D}, starting from the table's domain.
     """
     if table.n_states != sys.n_states or table.n_inputs != sys.n_inputs:
         raise UniverseMismatch("table does not match the system")
     d = table.defined.copy()
-    alive = table.allowed_bool() & ~sys.out
-    if not _trusted_closed:
-        alive &= sys.pair_subset_mask(d)
+    alive = table.allowed_bool() & ~sys.out & sys.pair_subset_mask(d)
     has_input = alive.any(axis=1)
     while True:
         d_new = d & has_input
@@ -271,45 +269,6 @@ def closure_holds(sys, table: ControllerTable) -> bool:
     alive = table.allowed_bool()
     ok = sys.pair_subset_mask(table.defined) & ~sys.out
     return not np.any(alive & ~ok)
-
-
-# -- serialization ------------------------------------------------------------
-
-_MAGIC = b"PSHC1"
-
-
-def save_controller(table: ControllerTable, sys, path):
-    """Write a controller keyed to the abstraction that produced it."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        digest = sys.content_hash.encode("ascii")
-        f.write(struct.pack("<B", len(digest)))
-        f.write(digest)
-        f.write(struct.pack("<qqq", table.n_states, table.n_inputs, table.words))
-        f.write(np.packbits(table.defined).tobytes())
-        f.write(table.masks.tobytes())
-
-
-def load_controller(path, sys) -> ControllerTable:
-    """Read a controller; rejects files keyed to a different abstraction."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:5] != _MAGIC:
-        raise ValueError("not a controller file (bad magic)")
-    off = 5
-    (hlen,) = struct.unpack_from("<B", data, off)
-    off += 1
-    digest = data[off:off + hlen].decode("ascii")
-    off += hlen
-    if digest != sys.content_hash:
-        raise AbstractionMismatch("controller was synthesized for a different abstraction")
-    n_states, n_inputs, words = struct.unpack_from("<qqq", data, off)
-    off += 24
-    nbytes = (n_states + 7) // 8
-    defined = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off))[:n_states].astype(bool)
-    off += nbytes
-    masks = np.frombuffer(data, dtype=np.uint64, count=n_states * words, offset=off).reshape(n_states, words).copy()
-    return ControllerTable(n_states, n_inputs, defined, masks)
 
 
 def dump_controller(table: ControllerTable, fh, grid=None):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from parashield.bench import (
-    GRID_PRESETS,
     brute_force_safety_controller,
+    build_runtime,
     run_oracle_trials,
     table_matches_brute,
 )
@@ -20,12 +20,10 @@ from parashield.navsim import (
     WorldParams,
     check_handover,
     feasible_world,
-    make_atomics,
-    make_sensing_config,
     run_episode,
     sense,
 )
-from parashield.shield import compose, pure_online_shield, shield_apply, synthesize_bank
+from parashield.shield import compose, pure_online_shield, shield_apply
 from parashield.synthesis import (
     SafetySpec,
     StateSet,
@@ -135,25 +133,11 @@ def test_criterion_4_timing_ordering(fine_rt):
 
 def test_criterion_5_offline_scale_and_online_budget():
     """Coarse offline phase under 30 minutes; per-step compose under 5 s mean."""
-    t0 = time.perf_counter()
-    cfg = make_sensing_config(eta=GRID_PRESETS["coarse"])
-    from parashield.abstraction import build_abstraction
-    sysm = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
-    t_abs = time.perf_counter() - t0
-
-    atomics = make_atomics(cfg.grid, cfg.d, cfg.epsilon)
-    assert len(atomics) == 401
-    t0 = time.perf_counter()
-    bank = synthesize_bank(sysm, atomics, base_id=0)
-    t_synth = time.perf_counter() - t0
+    rt = build_runtime("coarse")
+    assert len(rt.atomics) == 401
+    t_abs, t_synth = rt.abstraction_seconds, rt.bank_seconds
     assert t_abs + t_synth < 1800.0
 
-    from parashield.navsim import NavRuntime
-    rt = NavRuntime.__new__(NavRuntime)
-    rt.cfg, rt.sys, rt.bank = cfg, sysm, bank
-    from parashield.navsim import ColumnLayout
-    rt.layout = ColumnLayout(cfg.grid, cfg.d)
-    rt.atomics = atomics
     world = feasible_world(rt, 55_000, SUITE_WORLD_PARAMS)
     tr = run_episode(world, rt, mode="dynamic", seed=1, max_steps=60)
     mean_compose = tr.mean_shield_seconds

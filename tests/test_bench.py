@@ -113,6 +113,28 @@ class TestCli:
         header = traces[0].read_text().splitlines()[0]
         assert header.startswith("step,x,y,theta,cell")
 
+    def test_runs_share_the_bank_cached_in_out(self, tmp_path, monkeypatch):
+        import parashield.bench as bench_mod
+        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
+        calls = []
+        inner = bench_mod.synthesize_bank
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].content_hash)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "synthesize_bank", counting)
+        argv = ["run", "--grid-preset", "coarse", "--seed", "4", "--max-steps", "5", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert cli_main(argv) == 0
+        assert len(calls) == 1
+        # a damaged cache file is deleted and rebuilt
+        (bank,) = tmp_path.glob("bank_coarse_*.pshb")
+        size = bank.stat().st_size
+        bank.write_bytes(bank.read_bytes()[:size // 2])
+        assert cli_main(argv) == 0
+        assert len(calls) == 2 and bank.stat().st_size == size
+
     def test_out_env_overrides_flag(self, tmp_path, monkeypatch, capsys):
         override = tmp_path / "env_out"
         monkeypatch.setenv("PARASHIELD_OUT", str(override))

@@ -44,13 +44,17 @@ class TestSynthesizeBank:
         assert all(len(t.allowed_indices(x)) == 2 for x in range(7))
 
     def test_delta_storage_matches_dense(self, rng):
+        # diffs against the universe controller and against a base atomic
+        # both reproduce cold synthesis of every atomic
         sysm = random_system(rng, max_states=40)
         base = random_state_set(rng, sysm.n_states, density=0.95)
         atomics = [base] + [base & random_state_set(rng, sysm.n_states) for _ in range(4)]
-        dense = synthesize_bank(sysm, atomics)
-        delta = synthesize_bank(sysm, atomics, base_id=0)
+        universe = synthesize_bank(sysm, atomics)
+        fence = synthesize_bank(sysm, atomics, base_id=0)
         for i in range(len(atomics)):
-            assert controller_equal(dense.table(i), delta.table(i))
+            cold = safety_control(sysm, SafetySpec(atomics[i]))
+            assert controller_equal(universe.table(i), cold)
+            assert controller_equal(fence.table(i), cold)
 
     def test_delta_requires_sub_controllers(self, automaton7):
         sysm, g, h = automaton7
@@ -217,7 +221,7 @@ class TestBankSerialization:
         path = tmp_path / "bank.pshb"
         save_bank(bank, path)
         loaded = load_bank(path, sysm, spot_check=2)
-        assert loaded.base_id == 0
+        assert controller_equal(loaded.base, bank.base)
         for i in range(4):
             assert controller_equal(loaded.table(i), bank.table(i))
 
@@ -230,9 +234,111 @@ class TestBankSerialization:
 
     def test_tampered_table_fails_spot_check(self, automaton7, automaton7_bank, tmp_path):
         sysm, _, _ = automaton7
+        b = automaton7_bank
         path = tmp_path / "bank.pshb"
-        tampered = AtomicShieldBank(sysm, automaton7_bank.safes,
-                                    [automaton7_bank.table(1), automaton7_bank.table(0)])
+        # each table stored under the other atomic's safe set
+        tampered = AtomicShieldBank(sysm, b.safes[::-1], b.base, b.ptr, b.idx, b.masks, b.defined)
         save_bank(tampered, path)
         with pytest.raises(AbstractionMismatch):
             load_bank(path, sysm, spot_check=2)
+
+    def test_spot_check_draws_fresh_atomics(self, rng, tmp_path, monkeypatch):
+        import parashield.shield as shield_mod
+        sysm = random_system(rng, max_states=40)
+        atomics = [random_state_set(rng, sysm.n_states) for _ in range(12)]
+        path = tmp_path / "bank.pshb"
+        save_bank(synthesize_bank(sysm, atomics), path)
+        checked = []
+        inner = shield_mod.safety_control
+
+        def recording(sys, spec, **kwargs):
+            checked.append(next(i for i, s in enumerate(atomics) if s == spec.safe))
+            return inner(sys, spec, **kwargs)
+
+        monkeypatch.setattr(shield_mod, "safety_control", recording)
+        for _ in range(8):
+            load_bank(path, sysm)
+        assert len(checked) == 8 and len(set(checked)) > 1
+
+    def test_save_writes_exactly_the_given_path(self, automaton7_bank, tmp_path):
+        save_bank(automaton7_bank, tmp_path / "x.pshb.tmp")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.pshb.tmp"]
+
+
+def _members(path):
+    with np.load(path) as z:
+        return {k: z[k] for k in z.files}
+
+
+def _shifted_ptr(m, n):
+    ptr = m["ptr"].copy()
+    ptr[1] = ptr[-1] + 1
+    return {"ptr": ptr}
+
+
+def _short_ptr(m, n):
+    ptr = m["ptr"].copy()
+    ptr[-1] -= 1
+    return {"ptr": ptr}
+
+
+def _idx_out_of_range(m, n):
+    idx = m["idx"].copy()
+    idx[0] = n
+    return {"idx": idx}
+
+
+class TestMalformedBank:
+    """Every damaged or foreign container is a ValueError, so a cache can
+    tell it from a program error and rebuild the file."""
+
+    @pytest.fixture
+    def bank_file(self, tmp_path):
+        rng = np.random.default_rng(7)
+        sysm = random_system(rng, max_states=40)
+        atomics = [random_state_set(rng, sysm.n_states) for _ in range(3)]
+        path = tmp_path / "bank.pshb"
+        bank = synthesize_bank(sysm, atomics)
+        assert all(bank.ptr[i] < bank.ptr[i + 1] for i in range(3))
+        save_bank(bank, path)
+        return sysm, path
+
+    @pytest.mark.parametrize("change", [
+        lambda m, n: {"ptr": None},
+        lambda m, n: {"kind": np.str_("abstraction")},
+        lambda m, n: {"version": np.int64(2)},
+        _shifted_ptr,
+        _short_ptr,
+        _idx_out_of_range,
+        lambda m, n: {"masks": np.hstack([m["masks"], m["masks"]])},
+        lambda m, n: {"masks": m["masks"].astype(np.int64)},
+    ], ids=["missing-member", "wrong-kind", "wrong-version", "ptr-not-monotone",
+            "ptr-not-ending-at-idx", "idx-out-of-range", "mask-width", "mask-dtype"])
+    def test_bad_contents(self, bank_file, change):
+        sysm, path = bank_file
+        members = _members(path)
+        members.update(change(members, sysm.n_states))
+        with open(path, "wb") as f:
+            np.savez(f, **{k: v for k, v in members.items() if v is not None})
+        # no spot check: the structural checks alone must refuse the file
+        with pytest.raises(ValueError) as err:
+            load_bank(path, sysm, spot_check=0)
+        assert not isinstance(err.value, AbstractionMismatch)
+
+    def test_flipped_byte_in_diff_masks(self, bank_file):
+        sysm, path = bank_file
+        data = bytearray(path.read_bytes())
+        at = data.find(_members(path)["masks"].tobytes())
+        assert at > 0
+        data[at + 3] ^= 0x10
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            load_bank(path, sysm)
+
+    @pytest.mark.parametrize("keep", [0, 0.5, 0.99])
+    def test_truncated(self, bank_file, keep):
+        sysm, path = bank_file
+        data = path.read_bytes()
+        path.write_bytes(data[:int(keep * len(data))])
+        with pytest.raises(ValueError):
+            load_bank(path, sysm)

@@ -12,7 +12,7 @@ from parashield.bench import (
     random_system,
     table_matches_brute,
 )
-from parashield.errors import AbstractionMismatch, UniverseMismatch
+from parashield.errors import UniverseMismatch
 from parashield.synthesis import (
     ControllerTable,
     SafetySpec,
@@ -25,10 +25,8 @@ from parashield.synthesis import (
     dump_controller,
     is_sub_controller,
     largest_nonblocking,
-    load_controller,
     product,
     safety_control,
-    save_controller,
 )
 
 sets_of_7 = st.sets(st.integers(0, 6))
@@ -233,16 +231,6 @@ class TestControllerEqual:
 
 
 class TestControllerSerialization:
-    def test_round_trip_and_hash_guard(self, automaton7, tmp_path, rng):
-        sysm, g, _ = automaton7
-        t = safety_control(sysm, SafetySpec(g))
-        path = tmp_path / "ctrl.pshc"
-        save_controller(t, sysm, path)
-        assert controller_equal(load_controller(path, sysm), t)
-        other = random_system(rng)
-        with pytest.raises(AbstractionMismatch):
-            load_controller(path, other)
-
     def test_dump_format(self, automaton7):
         sysm, g, _ = automaton7
         t = safety_control(sysm, SafetySpec(g))
