@@ -383,35 +383,38 @@ class BoxedAbstraction:
 
     # -- bulk primitives used by the synthesis fixed points ---------------
 
-    def _hits(self, removed, within=None):
-        """`pair_hits` without `row_alive`: every pair of the candidate rows."""
+    def _hits(self, idx, within=None):
+        """`pair_hits` on ascending flat indices, without `row_alive`."""
         shape = self.grid.shape
         rad = [int(r) for r in self.reach_radius]
-        idx = np.flatnonzero(removed)
         if idx.size == 0:
             return idx, np.zeros((0, self.n_inputs), dtype=bool)
         # words are needed on the removed states' x-y bounding box [bx, by]
         # grown by the radius; the block they read is that box grown once
-        # more, zero past the x-y faces and wrapped in heading
-        bx = idx[0] // (shape[1] * shape[2]), idx[-1] // (shape[1] * shape[2])
-        ys = idx // shape[2] % shape[1]
+        # more, zero past the x-y faces, its heading padded by the cells
+        # across the wrap
+        nt, rt = shape[2], rad[2]
+        xy, ts = np.divmod(idx, nt)
+        xs, ys = np.divmod(xy, shape[1])
+        bx = int(xs[0]), int(xs[-1])
         by = int(ys.min()), int(ys.max())
         x0, x1 = max(bx[0] - rad[0], 0), min(bx[1] + rad[0] + 1, shape[0])
         y0, y1 = max(by[0] - rad[1], 0), min(by[1] + rad[1] + 1, shape[1])
-        block = np.zeros((x1 - x0 + 2 * rad[0], y1 - y0 + 2 * rad[1], shape[2], self._kernels.shape[2]),
+        words = np.zeros((x1 - x0 + 2 * rad[0], y1 - y0 + 2 * rad[1], nt + 2 * rt, self._kernels.shape[2]),
                          dtype=np.uint64)
-        block[bx[0] - x0 + rad[0]:bx[1] - x0 + rad[0] + 1, by[0] - y0 + rad[1]:by[1] - y0 + rad[1] + 1, :, 0] = \
-            removed.reshape(shape)[bx[0]:bx[1] + 1, by[0]:by[1] + 1]
-        words = np.concatenate((block[:, :, shape[2] - rad[2]:], block, block[:, :, :rad[2]]), axis=2)
+        words[xs - x0 + rad[0], ys - y0 + rad[1], ts + rt, 0] = 1
+        words[:, :, :rt] = words[:, :, nt:nt + rt]
+        words[:, :, nt + rt:] = words[:, :, rt:2 * rt]
         # one axis at a time, heading first: offset o along an axis sets bit
         # o * (bits per step of that axis) of the word built so far
         bits = 1
         for axis in (2, 1, 0):
             span = 2 * rad[axis] + 1
             size = words.shape[axis] - span + 1
-            acc = np.zeros(words.shape[:axis] + (size,) + words.shape[axis + 1:], dtype=np.uint64)
-            for o in range(span):
-                _or_shifted(acc, words[(slice(None),) * axis + (slice(o, o + size),)], o * bits)
+            shifted = [words[(slice(None),) * axis + (slice(o, o + size),)] for o in range(span)]
+            acc = shifted[0].copy()
+            for o in range(1, span):
+                _or_shifted(acc, shifted[o], o * bits)
             words = acc
             bits *= span
         near = words.any(axis=3)
@@ -436,7 +439,7 @@ class BoxedAbstraction:
         OUT pairs report on their clipped in-box part only; callers mask OUT
         separately.
         """
-        rows, hits = self._hits(~member)
+        rows, hits = self._hits(np.flatnonzero(~member))
         ok = np.ones((self.n_states, self.n_inputs), dtype=bool)
         ok[rows] = ~hits
         return ok
@@ -444,14 +447,14 @@ class BoxedAbstraction:
     def pair_hits(self, removed, within=None, row_alive=None):
         """Pairs whose successor box intersects `removed`, as (rows, hits).
 
-        `rows` are the states, ascending, within the reach radius of a removed
-        state (a dilation of the removed set, optionally restricted to
-        `within`); `hits` is (len(rows), n_inputs).  States outside `rows`
-        cannot hit.  `row_alive(rows) -> (len(rows), n_inputs) bool` narrows
-        the result to pairs the caller still cares about; the others report
-        no hit.
+        `removed` is a boolean mask or the ascending flat indices of the
+        states.  `rows` are the states, ascending, within the reach radius of
+        a removed state (a dilation of the removed set, optionally restricted
+        to the mask `within`); `hits` is (len(rows), n_inputs).  States outside
+        `rows` cannot hit.  `row_alive(rows) -> (len(rows), n_inputs) bool`
+        narrows the result to pairs the caller still cares about.
         """
-        rows, hits = self._hits(removed, within)
+        rows, hits = self._hits(np.flatnonzero(removed) if removed.dtype == bool else removed, within)
         if row_alive is not None and len(rows):
             hits &= row_alive(rows)
         return rows, hits
@@ -576,6 +579,8 @@ class ExplicitAbstraction:
         return (~bad).reshape(self.n_states, self.n_inputs)
 
     def pair_hits(self, removed, within=None, row_alive=None):
+        """As `BoxedAbstraction.pair_hits`, but `rows` holds only states with a hit."""
+        removed = removed if removed.dtype == bool else np.isin(np.arange(self.n_states), removed)
         hit = np.zeros(self.n_states * self.n_inputs, dtype=bool)
         flags = removed[self.succ]
         hit[self._pair_of[flags]] = True

@@ -29,7 +29,7 @@ from .navsim import (
     make_sensing_config,
     run_episode,
 )
-from .shield import load_bank, save_bank, synthesize_bank
+from .shield import compose, load_bank, save_bank, synthesize_bank
 from .synthesis import (
     ControllerTable,
     SafetySpec,
@@ -258,7 +258,9 @@ def table_matches_brute(table: ControllerTable, dom, allow) -> bool:
 
 def oracle_trial(rng, n_specs=2) -> bool:
     """One equivalence check: composed atomic controllers versus from-scratch
-    synthesis on the intersection, plus the brute-force reference."""
+    synthesis on the intersection, plus the brute-force reference.  Both ways
+    of composing are checked: the product of the tables followed by
+    `largest_nonblocking`, and the online path, `compose` on a bank."""
     sys = random_system(rng)
     safes = [random_state_set(rng, sys.n_states) for _ in range(n_specs)]
     tables = [safety_control(sys, SafetySpec(s)) for s in safes]
@@ -276,6 +278,8 @@ def oracle_trial(rng, n_specs=2) -> bool:
     composed = largest_nonblocking(sys, raw)
 
     if not controller_equal(composed, direct):
+        return False
+    if not controller_equal(compose(synthesize_bank(sys, safes), range(n_specs)).table, direct):
         return False
 
     dom, allow = brute_force_safety_controller(sys, combined)

@@ -23,7 +23,6 @@ from .synthesis import (
     SafetySpec,
     StateSet,
     _pack_bool,
-    _unpack_bool,
     controller_equal,
     is_sub_controller,
     safety_control,
@@ -75,6 +74,7 @@ class AtomicShieldBank:
         self.idx = idx
         self.masks = masks
         self.defined = defined
+        self.masks[~defined] = 0  # canonical, so the AND in raw_product clears undefined rows
 
     def table(self, i) -> ControllerTable:
         """Materialize the controller of one atomic: its diff rows are
@@ -90,12 +90,16 @@ class AtomicShieldBank:
             if i < 0 or i >= self.n_atomics:
                 raise IndexError(f"atomic id {i} out of range")
         tab = self.base.copy()
+        # one 64-bit lane at a time: fancy indexing on 1-D column views costs
+        # about half of the same AND on (rows, words) arrays
+        lanes = [tab.masks[:, w] for w in range(tab.words)]
         for i in ids:
             rows = slice(self.ptr[i], self.ptr[i + 1])
             idx = self.idx[rows]
-            tab.masks[idx] &= self.masks[rows]
-            tab.defined[idx] &= self.defined[rows]
-        tab.masks[~tab.defined] = 0
+            for w, col in enumerate(lanes):
+                col[idx] &= self.masks[rows, w]
+            # diffs are sub-controllers of the base: rows only turn undefined
+            tab.defined[idx[~self.defined[rows]]] = False
         return tab
 
 
@@ -150,23 +154,25 @@ def _repair_blocking(sys, table: ControllerTable):
     boxed abstraction that test builds neighbourhood words only around those
     states and ANDs them with the per-(heading row, input) kernels, so the
     bulk of a sweep's work scales with the removed region, not the grid.  The
-    allowed sets stay packed between sweeps.
+    allowed sets stay packed, and the states a sweep removes are an ascending
+    index array, so no sweep touches a full-length array.  Hits need no
+    narrowing to allowed inputs (clearing a clear bit does nothing), and no
+    row needs zeroing at the end: every state leaves the domain with an empty
+    row, blocking at the start or emptied by a sweep.
     """
     d = table.defined
-    masks = table.masks
-    removed = table.blocking().mask
-    while removed.any():
-        d &= ~removed
-        rows, hits = sys.pair_hits(
-            removed, within=d,
-            row_alive=lambda r: _unpack_bool(masks[r], table.n_inputs))
-        if len(rows) == 0:
-            break
-        masks[rows] &= ~_pack_bool(hits)
-        sub = rows[d[rows] & (masks[rows] == 0).all(axis=1)]
-        removed = np.zeros_like(d)
-        removed[sub] = True
-    masks[~d] = 0
+    lanes = [table.masks[:, w] for w in range(table.words)]
+    removed = np.flatnonzero(table.blocking().mask)
+    while removed.size:
+        d[removed] = False
+        rows, hits = sys.pair_hits(removed, within=d)
+        clear = _pack_bool(hits)
+        empty = np.ones(len(rows), dtype=bool)
+        for w, col in enumerate(lanes):
+            kept = col[rows] & ~clear[:, w]
+            col[rows] = kept
+            empty &= kept == 0
+        removed = rows[empty]
     return table
 
 

@@ -382,6 +382,11 @@ class TestNeighbourhoodWords:
                 for row_alive in (None, lambda r: alive[r]):
                     rows, hits = boxed.pair_hits(removed, within=w, row_alive=row_alive)
                     erows, ehits = explicit.pair_hits(removed, within=w, row_alive=row_alive)
+                    # the ascending-index form answers exactly as the mask form
+                    for sysm, mask_answer in ((boxed, (rows, hits)), (explicit, (erows, ehits))):
+                        irows, ihits = sysm.pair_hits(np.flatnonzero(removed), within=w, row_alive=row_alive)
+                        assert np.array_equal(irows, mask_answer[0])
+                        assert np.array_equal(ihits, mask_answer[1])
                     expect_rows = reach_dilation(boxed.grid, boxed.reach_radius, removed)
                     if w is not None:
                         expect_rows &= w

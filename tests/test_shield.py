@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parashield.abstraction import InputGrid
+from parashield.abstraction import ExplicitAbstraction, InputGrid
 from parashield.bench import random_state_set, random_system
 from parashield.errors import AbstractionMismatch, DomainViolation, EmptyActiveSet
 from parashield.shield import (
@@ -21,6 +21,14 @@ from parashield.synthesis import (
     controller_equal,
     safety_control,
 )
+
+
+def neighbour_system(rng, n, m, n_near=3):
+    """Random system in which every pair moves to two of its state's
+    `n_near` neighbours."""
+    near = rng.integers(0, n, size=(n, n_near))
+    succ = np.sort(near[np.arange(n)[:, None, None], rng.integers(0, n_near, size=(n, m, 2))], axis=2)
+    return ExplicitAbstraction(n, m, np.arange(0, 2 * n * m + 1, 2), succ.reshape(-1), np.zeros(n * m, dtype=bool))
 
 
 @pytest.fixture
@@ -101,6 +109,38 @@ class TestCompose:
             for i in active[1:]:
                 safe = safe & atomics[i]
             assert controller_equal(sh.table, safety_control(sysm, SafetySpec(safe)))
+
+    def test_equals_direct_synthesis_over_several_words(self, rng):
+        # 65 and 130 inputs take 2 and 3 words per allowed set; each state's
+        # inputs lead into the same few neighbours, so two atomics often
+        # allow disjoint inputs there and the raw product has blocking states
+        blocking = upper_lane_repairs = 0
+        for m in (65, 130):
+            for _ in range(5):
+                sysm = neighbour_system(rng, 40, m)
+                atomics = [random_state_set(rng, sysm.n_states) for _ in range(3)]
+                bank = synthesize_bank(sysm, atomics)
+                raw = bank.raw_product(range(3))
+                sh = compose(bank, range(3))
+                safe = atomics[0] & atomics[1] & atomics[2]
+                assert controller_equal(sh.table, safety_control(sysm, SafetySpec(safe)))
+                blocking += len(raw.blocking())
+                cleared = raw.masks[:, -1] & ~sh.table.masks[:, -1]
+                upper_lane_repairs += np.count_nonzero(cleared[sh.table.defined])
+        assert blocking > 0
+        assert upper_lane_repairs > 0
+
+    def test_bits_on_undefined_diff_rows_reach_no_table(self, rng):
+        # a bank file can carry them; those rows allow nothing
+        sysm = random_system(rng, max_states=40)
+        bank = synthesize_bank(sysm, [random_state_set(rng, sysm.n_states) for _ in range(3)])
+        assert not bank.defined.all()
+        masks = bank.masks.copy()
+        masks[~bank.defined] = ~np.uint64(0)
+        dirty = AtomicShieldBank(sysm, bank.safes, bank.base, bank.ptr, bank.idx, masks, bank.defined)
+        for i in range(3):
+            assert controller_equal(dirty.table(i), bank.table(i))
+        assert controller_equal(compose(dirty, range(3)).table, compose(bank, range(3)).table)
 
     def test_order_independence(self, rng):
         sysm = random_system(rng)
