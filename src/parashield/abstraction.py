@@ -7,13 +7,14 @@ transition relation maps each pair to the set of cells that intersect the
 image box, with a distinguished OUT flag when the image leaves the box in a
 non-periodic dimension.
 
-The synthesis fixed points ask two bulk questions of a state set: which pairs
-have a successor in it, and which have all successors in it.  The boxed
-abstraction answers both with one bitwise test: a per-state word marks which
-offsets of the bounded reach neighbourhood land in the set, a per-(heading
-row, input) kernel marks which offsets the pair's successor box covers, and
-the pair meets the set exactly when the two share a bit.  Words are built
-only around the set, so a question about a few states costs a few states.
+The synthesis fixed points ask one bulk question of a state set, `pair_hits`:
+which pairs have a successor in it.  (All successors of a pair lie in S
+exactly when none lies in the complement of S.)  The boxed abstraction
+answers it with one bitwise test: a per-state word marks which offsets of the
+bounded reach neighbourhood land in the set, a per-(heading row, input)
+kernel marks which offsets the pair's successor box covers, and the pair
+meets the set exactly when the two share a bit.  Words are built only around
+the set, so a question about a few states costs a few states.
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ class BoxedAbstraction:
     `starts`, `lengths` and `out` hold the clipped per-pair ranges that
     `post`, `successor_blocks` and the content hash read.
 
-    Hit and containment tests use neighbourhood words.  The reach radius R is
+    The hit test uses neighbourhood words.  The reach radius R is
     the largest shift per dimension, so the (2Rx+1)(2Ry+1)(2Rt+1) offsets of
     the neighbourhood cover every box.  Each (heading row, input) has a kernel
     whose bit b is set when neighbourhood offset b lies in its box; a state's
@@ -432,17 +433,6 @@ class BoxedAbstraction:
             for lane in range(1, both.shape[2]):
                 hits[blk] |= both[..., lane] != 0
         return rows, hits
-
-    def pair_subset_mask(self, member):
-        """Per-pair test: every in-box successor lies in `member`.
-
-        OUT pairs report on their clipped in-box part only; callers mask OUT
-        separately.
-        """
-        rows, hits = self._hits(np.flatnonzero(~member))
-        ok = np.ones((self.n_states, self.n_inputs), dtype=bool)
-        ok[rows] = ~hits
-        return ok
 
     def pair_hits(self, removed, within=None, row_alive=None):
         """Pairs whose successor box intersects `removed`, as (rows, hits).
@@ -571,12 +561,6 @@ class ExplicitAbstraction:
                 indptr[x * n_inputs + u + 1] = indptr[x * n_inputs + u] + succ.size
         succ = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
         return cls(n_states, n_inputs, indptr, succ, out)
-
-    def pair_subset_mask(self, member):
-        bad = np.zeros(self.n_states * self.n_inputs, dtype=bool)
-        miss = ~member[self.succ]
-        bad[self._pair_of[miss]] = True
-        return (~bad).reshape(self.n_states, self.n_inputs)
 
     def pair_hits(self, removed, within=None, row_alive=None):
         """As `BoxedAbstraction.pair_hits`, but `rows` holds only states with a hit."""

@@ -56,7 +56,6 @@ class BenchConfig:
     instances: int = 70
     seed: int = 0
     max_steps: int = 200
-    threads: int = 1
     world_params: WorldParams = field(default_factory=WorldParams)
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class BenchConfig:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {sorted(GRID_PRESETS)}")
         if self.instances < 1:
             raise ValueError("instances must be positive")
-        if self.threads != 1:
-            raise ValueError("timed sections run single-threaded; threads must be 1 for bench")
 
 
 @dataclass
@@ -121,6 +118,8 @@ def build_runtime(preset, cache_dir=None, pool=None) -> NavRuntime:
     With a `cache_dir`, the bank is loaded from the file keyed by preset,
     content hash and source digest there; a file that fails to load is
     rebuilt, and a freshly synthesized bank is written there atomically.
+    Writing one deletes the preset's banks cached under other keys, which no
+    build of these sources reads.
     """
     cfg = preset_config(preset)
     t0 = time.perf_counter()
@@ -142,6 +141,9 @@ def build_runtime(preset, cache_dir=None, pool=None) -> NavRuntime:
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             save_bank(bank, tmp)
             os.replace(tmp, path)
+            for stale in path.parent.glob(f"bank_{preset}_*.pshb"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)
     return NavRuntime(cfg, sys, ColumnLayout(cfg.grid, cfg.d), atomics, bank,
                       abstraction_seconds=t1 - t0, bank_seconds=time.perf_counter() - t1)
 

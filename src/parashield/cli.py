@@ -40,7 +40,6 @@ _ERRORS = (
 def _add_common(p, with_mode=False):
     p.add_argument("--grid-preset", choices=sorted(bench_mod.GRID_PRESETS), default="coarse")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=".")
     if with_mode:
         p.add_argument("--mode", choices=["dynamic", "pure-online", "unshielded"], default="dynamic")
@@ -102,7 +101,7 @@ def cmd_bench(args):
     out = _out_dir(args)
     cfg = bench_mod.BenchConfig(
         preset=args.grid_preset, instances=args.instances, seed=args.seed,
-        max_steps=args.max_steps, threads=args.threads,
+        max_steps=args.max_steps,
     )
     rows, _ = bench_mod.run_bench(cfg, bench_mod.build_runtime(args.grid_preset, cache_dir=out))
     path = os.path.join(out, f"results_{args.grid_preset}.csv")
@@ -151,6 +150,7 @@ def make_parser():
 
     ps = sub.add_parser("synth-bank", help="offline phase: synthesize the atomic-shield bank")
     _add_common(ps)
+    ps.add_argument("--threads", type=int, default=1, help="worker threads for the bank synthesis")
     ps.set_defaults(fn=cmd_synth_bank)
 
     pr = sub.add_parser("run", help="run one navigation episode")

@@ -2,12 +2,13 @@
 composition for any conjunction of atomic specifications, and the
 pass-through/override decision rule.
 
-Composition is a product of atomic controllers followed by deadlock removal.
-Because every atomic controller is closed (allowed inputs never leave its own
-domain), no allowed input of the product can leave the product domain either,
-so the repair loop only has to propagate away from states whose allowed sets
-intersected to nothing.  In the common case there are none and composition is
-a handful of bitwise ANDs.
+Composition is a product of atomic controllers followed by deadlock removal,
+which is the synthesis fixed point (`synthesis._narrow`) started from the
+product's blocking states.  Because every atomic controller is closed
+(allowed inputs never leave its own domain), no allowed input of the product
+can leave the product domain either, so the loop only has to propagate away
+from states whose allowed sets intersected to nothing.  In the common case
+there are none and composition is a handful of bitwise ANDs.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .synthesis import (
     ControllerTable,
     SafetySpec,
     StateSet,
-    _pack_bool,
+    _narrow,
     controller_equal,
     is_sub_controller,
     safety_control,
+    universe_controller,
 )
 
 
@@ -126,7 +128,7 @@ def synthesize_bank(sys, atomics, base_id=None, pool=None) -> AtomicShieldBank:
     atomics = list(atomics)
     run = pool.map if pool is not None else map
     if base_id is None:
-        base = ControllerTable.from_bool(np.ones(sys.n_states, dtype=bool), ~sys.out)
+        base = universe_controller(sys)
         base_safe = np.ones(sys.n_states, dtype=bool)
     else:
         base = safety_control(sys, SafetySpec(atomics[base_id]))
@@ -144,38 +146,6 @@ def synthesize_bank(sys, atomics, base_id=None, pool=None) -> AtomicShieldBank:
     return AtomicShieldBank(sys, atomics, base, ptr, idx, masks, defined)
 
 
-def _repair_blocking(sys, table: ControllerTable):
-    """Deadlock removal for a product of closed controllers, in place.
-
-    Closure of the factors means no allowed input of the product leaves the
-    product domain, so the greatest nonblocking fixed point only ever removes
-    blocking states and then inputs leading into them.  Each sweep asks
-    `sys.pair_hits` which allowed inputs reach the states just removed; on a
-    boxed abstraction that test builds neighbourhood words only around those
-    states and ANDs them with the per-(heading row, input) kernels, so the
-    bulk of a sweep's work scales with the removed region, not the grid.  The
-    allowed sets stay packed, and the states a sweep removes are an ascending
-    index array, so no sweep touches a full-length array.  Hits need no
-    narrowing to allowed inputs (clearing a clear bit does nothing), and no
-    row needs zeroing at the end: every state leaves the domain with an empty
-    row, blocking at the start or emptied by a sweep.
-    """
-    d = table.defined
-    lanes = [table.masks[:, w] for w in range(table.words)]
-    removed = np.flatnonzero(table.blocking().mask)
-    while removed.size:
-        d[removed] = False
-        rows, hits = sys.pair_hits(removed, within=d)
-        clear = _pack_bool(hits)
-        empty = np.ones(len(rows), dtype=bool)
-        for w, col in enumerate(lanes):
-            kept = col[rows] & ~clear[:, w]
-            col[rows] = kept
-            empty &= kept == 0
-        removed = rows[empty]
-    return table
-
-
 def compose(bank: AtomicShieldBank, active) -> Shield:
     """Online phase: product of the active atomic controllers, then deadlock removal.
 
@@ -184,7 +154,7 @@ def compose(bank: AtomicShieldBank, active) -> Shield:
     exactly that.
     """
     raw = bank.raw_product(active)
-    return Shield(_repair_blocking(bank.sys, raw), bank.sys.inputs, active_ids=active)
+    return Shield(_narrow(bank.sys, raw, raw.blocking().mask), bank.sys.inputs, active_ids=active)
 
 
 def pure_online_shield(sys, safe_sets) -> Shield:

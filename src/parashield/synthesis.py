@@ -1,11 +1,15 @@
 """Safety-game solving over finite abstractions.
 
-Everything here is a fixed point over two bulk tests provided by the
-abstraction: "every successor of this pair lies in S" and "some successor of
-this pair lies in R".  Greatest fixed points are computed by monotone
-narrowing: once a pair fails containment it can never pass again while the
-candidate set shrinks, so each sweep only re-tests pairs whose successor box
-meets the freshly removed cells.
+Every fixed point here is one narrowing loop, `_narrow`, over packed
+controller tables.  The loop takes a table and the states to drop from its
+domain, asks the abstraction its one bulk question, "which pairs have a
+successor in this set", about the states just dropped, clears those inputs
+and drops the rows that emptied, until no row empties.  Synthesis starts it
+from the universe controller (or a warm start) narrowed to the safe set,
+nonblocking pruning from a product's undefined and blocking states, and
+`compose` from a raw product's blocking states.  Once a pair has a successor
+outside the shrinking domain it stays disallowed, so each sweep only re-tests
+pairs whose successor box meets the freshly removed cells.
 """
 
 from __future__ import annotations
@@ -133,9 +137,6 @@ class ControllerTable:
     def words(self):
         return self.masks.shape[1]
 
-    def allowed_bool(self):
-        return _unpack_bool(self.masks, self.n_inputs) & self.defined[:, None]
-
     def allowed_indices(self, cell):
         row = _unpack_bool(self.masks[int(cell)][None, :], self.n_inputs)[0]
         return np.nonzero(row)[0]
@@ -192,17 +193,66 @@ def _check_universe(sys, s: StateSet):
 def cpre(sys, s: StateSet) -> StateSet:
     """Controllable predecessor: states with an input forcing all successors into s."""
     _check_universe(sys, s)
-    ok = sys.pair_subset_mask(s.mask) & ~sys.out
+    rows, hits = sys.pair_hits(~s.mask)
+    ok = ~sys.out
+    ok[rows] &= ~hits
     return StateSet(ok.any(axis=1))
+
+
+def universe_controller(sys) -> ControllerTable:
+    """Every state defined, every input allowed that does not leave the grid."""
+    return ControllerTable.from_bool(np.ones(sys.n_states, dtype=bool), ~sys.out)
+
+
+def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None):
+    """Greatest fixed point below `table` once the states of the mask
+    `removed` leave its domain, in place: inputs with a successor outside the
+    domain are cleared, and states left with no input leave it in turn.
+
+    The callers make two things hold: every row in `removed` is empty, and no
+    allowed input is OUT or leads outside the domain except into `removed`.
+    Each sweep asks `sys.pair_hits` which inputs reach the states just
+    removed; on a boxed abstraction that test builds neighbourhood words only
+    around those states, so a sweep's work scales with the removed region,
+    not the grid.  Rows stay packed and the removed states are an ascending
+    index array, so no sweep touches a full-length array.  Hits need no
+    narrowing to allowed inputs (clearing a clear bit does nothing), and a
+    state leaves the domain with an empty row, so no row needs zeroing.
+
+    `iteration_sizes` receives the domain size after the first removal and
+    after every sweep; the sweep that removes nothing repeats the last size.
+    """
+    d = table.defined
+    lanes = [table.masks[:, w] for w in range(table.words)]
+    removed = np.flatnonzero(removed)
+    d[removed] = False
+    if iteration_sizes is not None:
+        size = int(np.count_nonzero(d))
+        iteration_sizes.append(size)
+    while removed.size:
+        rows, hits = sys.pair_hits(removed, within=d)
+        clear = _pack_bool(hits)
+        empty = np.ones(len(rows), dtype=bool)
+        for w, col in enumerate(lanes):
+            kept = col[rows] & ~clear[:, w]
+            col[rows] = kept
+            empty &= kept == 0
+        removed = rows[empty]
+        d[removed] = False
+        if iteration_sizes is not None:
+            size -= removed.size
+            iteration_sizes.append(size)
+    return table
 
 
 def safety_control(sys, spec: SafetySpec, iteration_sizes=None, warm_start=None) -> ControllerTable:
     """Maximally permissive safety controller of the abstraction.
 
     Iterates S <- CPre(S) & safe from the full state set down to the greatest
-    fixed point, then allows exactly the inputs whose successors stay inside.
+    fixed point, keeping exactly the inputs whose successors stay inside.
     OUT transitions count as leaving S.  The returned table is nonblocking on
-    its domain (possibly empty).
+    its domain (possibly empty).  `iteration_sizes` receives |S| after every
+    step of the descent, the last one repeated once S stops shrinking.
 
     `warm_start` may name a previously computed table whose safe set contained
     this one's: iteration then starts from that table's fixed point instead of
@@ -211,25 +261,11 @@ def safety_control(sys, spec: SafetySpec, iteration_sizes=None, warm_start=None)
     shorter.
     """
     _check_universe(sys, spec.safe)
-    if warm_start is not None:
-        alive = warm_start.allowed_bool()
-        s = warm_start.defined.copy()
-    else:
-        alive = ~sys.out  # post(x, u) is a subset of the current S, initially everything
-        s = np.ones(sys.n_states, dtype=bool)
-    has_input = alive.any(axis=1)
-    while True:
-        s_new = has_input & spec.safe.mask
-        if iteration_sizes is not None:
-            iteration_sizes.append(int(s_new.sum()))
-        removed = s & ~s_new
-        s = s_new
-        if not removed.any():
-            break
-        rows, hits = sys.pair_hits(removed, within=s, row_alive=lambda r: alive[r])
-        alive[rows] &= ~hits
-        has_input[rows] = alive[rows].any(axis=1)
-    return ControllerTable.from_bool(s, alive & s[:, None])
+    table = universe_controller(sys) if warm_start is None else warm_start.copy()
+    # with the unsafe rows zeroed, the blocking states are the start's unsafe
+    # states plus its states without an input
+    table.masks[~spec.safe.mask] = 0
+    return _narrow(sys, table, table.blocking().mask, iteration_sizes)
 
 
 def product(c1: ControllerTable, c2: ControllerTable) -> ControllerTable:
@@ -249,26 +285,17 @@ def largest_nonblocking(sys, table: ControllerTable) -> ControllerTable:
     """
     if table.n_states != sys.n_states or table.n_inputs != sys.n_inputs:
         raise UniverseMismatch("table does not match the system")
-    d = table.defined.copy()
-    alive = table.allowed_bool() & ~sys.out & sys.pair_subset_mask(d)
-    has_input = alive.any(axis=1)
-    while True:
-        d_new = d & has_input
-        removed = d & ~d_new
-        d = d_new
-        if not removed.any():
-            break
-        rows, hits = sys.pair_hits(removed, within=d, row_alive=lambda r: alive[r])
-        alive[rows] &= ~hits
-        has_input[rows] = alive[rows].any(axis=1)
-    return ControllerTable.from_bool(d, alive & d[:, None])
+    table = table.copy()
+    table.masks &= ~_pack_bool(sys.out)
+    return _narrow(sys, table, ~table.defined | table.blocking().mask)
 
 
 def closure_holds(sys, table: ControllerTable) -> bool:
     """Check that every allowed input maps entirely into the table's domain."""
-    alive = table.allowed_bool()
-    ok = sys.pair_subset_mask(table.defined) & ~sys.out
-    return not np.any(alive & ~ok)
+    rows, hits = sys.pair_hits(~table.defined)
+    leaves = sys.out.copy()
+    leaves[rows] |= hits
+    return not np.any(table.masks & _pack_bool(leaves))
 
 
 def dump_controller(table: ControllerTable, fh, grid=None):

@@ -10,6 +10,7 @@ from parashield.bench import (
     BenchRow,
     GRID_PRESETS,
     RESULT_HEADER,
+    build_runtime,
     emit_results,
     random_system,
     run_bench,
@@ -54,9 +55,19 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(preset="ultra")
 
-    def test_timed_sections_single_threaded(self):
-        with pytest.raises(ValueError):
-            BenchConfig(threads=4)
+
+class TestBankCache:
+    def test_a_new_bank_drops_the_presets_stale_files(self, tmp_path):
+        stale = tmp_path / "bank_coarse_0123456789abcdef_0123456789abcdef.pshb"
+        kept = [tmp_path / "bank_medium_0123456789abcdef_0123456789abcdef.pshb",
+                tmp_path / "bank_coarse.pshb"]
+        for path in [stale] + kept:
+            path.write_bytes(b"built by other sources")
+        build_runtime("coarse", cache_dir=tmp_path)
+        assert not stale.exists()
+        assert all(path.exists() for path in kept)
+        (fresh,) = tmp_path.glob("bank_coarse_*.pshb")
+        assert fresh.stat().st_size > 1000
 
 
 class TestRunBench:

@@ -119,9 +119,15 @@ class TestSafetyControlProperties:
             sysm = random_system(rng)
             safe = random_state_set(rng, sysm.n_states)
             sizes = []
-            safety_control(sysm, SafetySpec(safe), iteration_sizes=sizes)
+            t = safety_control(sysm, SafetySpec(safe), iteration_sizes=sizes)
             assert len(sizes) <= sysm.n_states + 1
-            assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+            assert sizes[0] == np.count_nonzero(safe.mask & (~sysm.out).any(axis=1))
+            # strictly decreasing; once there is a sweep, the one that
+            # removes nothing repeats the last size
+            if len(sizes) > 1:
+                assert sizes[-1] == sizes[-2]
+            assert all(a > b for a, b in zip(sizes[:-2], sizes[1:-1]))
+            assert sizes[-1] == t.domain_size()
 
     def test_result_within_safe_and_closed(self, rng):
         for _ in range(30):
@@ -202,7 +208,7 @@ class TestLargestNonblocking:
             n, m = sysm.n_states, sysm.n_inputs
             allowed = rng.random((n, m)) < 0.6
             defined = rng.random(n) < 0.8
-            t = ControllerTable.from_bool(defined, allowed & defined[:, None] & ~sysm.out)
+            t = ControllerTable.from_bool(defined, allowed & defined[:, None])
             nb = largest_nonblocking(sysm, t)
             dom, allow = brute_force_nonblocking(
                 sysm, [int(i) for i in np.nonzero(t.defined)[0]],
