@@ -147,10 +147,6 @@ class GridSpec:
         hi = self.lower + (m + 1.0) * self.eta
         return lo, hi
 
-    def cell_center(self, flat):
-        lo, hi = self.cell_interval(flat)
-        return (lo + hi) / 2.0
-
     def __eq__(self, other):
         return (
             isinstance(other, GridSpec)
@@ -330,10 +326,10 @@ class BoxedAbstraction:
     that depend only on the cell's heading row and the input: the
     (nt, n_inputs, 3, 2) integer array `offsets` holds at `[it, u, d]` the
     (lo, hi) shift along dimension d, heading shifts taken modulo the number
-    of heading cells.  In x and y the box is
-    clipped to the grid, and the OUT flag records that it had to be.
-    `starts`, `lengths` and `out` hold the clipped per-pair ranges that
-    `post`, `successor_blocks` and the content hash read.
+    of heading cells.  In x and y the box is clipped to the grid, and the
+    (n_states, n_inputs) mask `out` records that it had to be.  The relation
+    is a pure function of the grid, the inputs and `offsets`, which is what
+    the content hash digests.
 
     The hit test uses neighbourhood words.  The reach radius R is
     the largest shift per dimension, so the (2Rx+1)(2Ry+1)(2Rt+1) offsets of
@@ -353,21 +349,14 @@ class BoxedAbstraction:
         self.n_states = grid.n_cells
         self.n_inputs = len(inputs)
         nx, ny, nt = grid.shape
-        ix, iy, it = np.unravel_index(np.arange(self.n_states), grid.shape)
-        self.starts = np.zeros((self.n_states, self.n_inputs, 3), dtype=np.int16)   # in-box
-        self.lengths = np.zeros_like(self.starts)                                   # >= 0
-        self.out = np.zeros((self.n_states, self.n_inputs), dtype=bool)
-        for u in range(self.n_inputs):
-            for d, (i, n) in enumerate(((ix, nx), (iy, ny))):
-                lo = i + offsets[it, u, d, 0]
-                hi = i + offsets[it, u, d, 1]
-                self.out[:, u] |= (lo < 0) | (hi > n - 1)
-                start = np.clip(lo, 0, n - 1)
-                self.starts[:, u, d] = start
-                self.lengths[:, u, d] = (np.clip(hi, 0, n - 1) - start + 1) * ((hi >= 0) & (lo <= n - 1))
-            t_lo, t_hi = offsets[0, u, 2]
-            self.starts[:, u, 2] = (it + t_lo) % nt
-            self.lengths[:, u, 2] = min(t_hi - t_lo + 1, nt)
+        # OUT where the box leaves the grid in x or y: per (x, heading row,
+        # input) and per (y, heading row, input), then broadcast
+        lo, hi = offsets[..., 0], offsets[..., 1]
+        i = np.arange(nx)[:, None, None]
+        out_x = (i + lo[..., 0] < 0) | (i + hi[..., 0] > nx - 1)
+        i = np.arange(ny)[:, None, None]
+        out_y = (i + lo[..., 1] < 0) | (i + hi[..., 1] > ny - 1)
+        self.out = (out_x[:, None] | out_y[None]).reshape(self.n_states, self.n_inputs)
         # the radius in heading never needs to exceed half the circle; in x
         # and y, offsets past the grid's extent never land inside it
         shape = np.asarray(grid.shape, dtype=np.int64)
@@ -380,7 +369,12 @@ class BoxedAbstraction:
         inside = ((lo[:, :, 0] <= ox) & (ox <= hi[:, :, 0]) & (lo[:, :, 1] <= oy) & (oy <= hi[:, :, 1])
                   & ((ot - lo[:, :, 2]) % nt < np.minimum(hi[:, :, 2] - lo[:, :, 2] + 1, nt)))
         self._kernels = _pack_bool(inside)    # (nt, n_inputs, lanes) uint64
-        self._hash = None
+        h = hashlib.sha256()
+        h.update(b"PSHD-offsets")
+        h.update(grid._canonical_bytes())
+        h.update(inputs._canonical_bytes())
+        h.update(np.ascontiguousarray(offsets, dtype="<i8").tobytes())
+        self.content_hash = h.hexdigest()
 
     # -- bulk primitives used by the synthesis fixed points ---------------
 
@@ -453,69 +447,17 @@ class BoxedAbstraction:
 
     def post(self, cell, u):
         """Successor set of one (cell, input) pair as (sorted flat indices, out flag)."""
-        st = self.starts[cell, u]
-        ln = self.lengths[cell, u]
-        if np.any(ln == 0):
-            return np.empty(0, dtype=np.int64), bool(self.out[cell, u])
+        multi = self.grid.multi(cell)
         axes = []
-        for d in range(self.grid.dims):
-            idx = np.arange(st[d], st[d] + ln[d], dtype=np.int64)
+        for d, (i, n) in enumerate(zip(multi, self.grid.shape)):
+            lo, hi = (int(o) for o in self.offsets[multi[2], u, d])
             if self.grid.periodic[d]:
-                idx %= self.grid.shape[d]
-            axes.append(idx)
+                axes.append((i + lo + np.arange(min(hi - lo + 1, n))) % n)
+            else:
+                axes.append(np.arange(max(i + lo, 0), min(i + hi, n - 1) + 1))
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = sum(m.astype(np.int64) * s for m, s in zip(mesh, self.grid.strides)).ravel()
         return np.sort(flat), bool(self.out[cell, u])
-
-    def successor_blocks(self, block=4096):
-        """Yield (counts, out_flags, values) over blocks of pairs, in pair order.
-
-        `values` concatenates the successor lists of the block's pairs in pair
-        order, each list sorted; flat indices are expanded from the stored
-        per-dimension ranges a block at a time.
-        """
-        dims = self.grid.dims
-        shape = np.asarray(self.grid.shape, dtype=np.int64)
-        periodic = self.grid.periodic
-        strides = self.grid.strides
-        starts = self.starts.reshape(-1, dims)
-        lengths = self.lengths.reshape(-1, dims)
-        out = self.out.reshape(-1)
-        n_pairs = starts.shape[0]
-        for ofs in range(0, n_pairs, block):
-            st = starts[ofs:ofs + block].astype(np.int64)
-            ln = lengths[ofs:ofs + block].astype(np.int64)
-            counts = ln.prod(axis=1)
-            caps = tuple(int(c) for c in ln.max(axis=0))
-            mesh = np.meshgrid(*[np.arange(c, dtype=np.int64) for c in caps], indexing="ij")
-            flat = np.zeros((st.shape[0],) + caps, dtype=np.int64)
-            valid = np.ones_like(flat, dtype=bool)
-            expand = (slice(None),) + (None,) * dims
-            for d in range(dims):
-                idx = st[:, d][expand] + mesh[d][None]
-                if periodic[d]:
-                    idx = idx % shape[d]
-                flat += idx * strides[d]
-                valid &= mesh[d][None] < ln[:, d][expand]
-            k = st.shape[0]
-            values = flat.reshape(k, -1)[valid.reshape(k, -1)]
-            pair_of = np.repeat(np.arange(k, dtype=np.int64), counts)
-            order = np.lexsort((values, pair_of))
-            yield counts, out[ofs:ofs + block], values[order]
-
-    @property
-    def content_hash(self):
-        """Hex digest identifying the transition relation; lazy."""
-        if self._hash is None:
-            h = hashlib.sha256()
-            h.update(b"PSHD-boxed")
-            h.update(self.grid._canonical_bytes())
-            h.update(self.inputs._canonical_bytes())
-            h.update(self.starts.tobytes())
-            h.update(self.lengths.tobytes())
-            h.update(self.out.tobytes())
-            self._hash = h.hexdigest()
-        return self._hash
 
 
 class ExplicitAbstraction:
@@ -601,14 +543,12 @@ def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -
     The interval image of a cell moves it by a displacement that depends only
     on its heading row and the input, so index shifts are computed once per
     (heading row, input) pair, floor(delta_lo / eta) and ceil(delta_hi / eta),
-    which keeps the zero-motion case exact: a cell maps to itself alone.  The
-    per-pair successor ranges, clipped to the box with OUT set where the
-    image leaves it in x or y, are derived from these shifts.
+    which keeps the zero-motion case exact: a cell maps to itself alone.
+    These shifts are the whole abstraction: `BoxedAbstraction` derives the
+    OUT mask, the hit-test kernels and every post-set from them.
     """
     if grid.dims != 3 or grid.periodic[0] or grid.periodic[1] or not grid.periodic[2]:
         raise GridMismatch("vehicle abstraction expects (x, y, heading) with only the heading periodic")
-    if max(grid.shape) >= np.iinfo(np.int16).max:
-        raise GridMismatch("grid too fine for int16 successor ranges")
     nt = grid.shape[2]
     t = params.tau
     w = params.disturbance.radius
@@ -663,13 +603,3 @@ def load_abstraction(path) -> BoxedAbstraction:
     if sys.content_hash != content_hash:
         raise ValueError(f"{path}: contents do not match the stored content hash")
     return sys
-
-
-def dump_abstraction(sys, fh):
-    """Debug dump, one line per (cell, input)."""
-    for cell in range(sys.n_states):
-        label = str(sys.grid.multi(cell)) if getattr(sys, "grid", None) is not None else str(cell)
-        for u in range(sys.n_inputs):
-            succ, is_out = sys.post(cell, u)
-            tail = " OUT" if is_out else ""
-            fh.write(f"{label} u={u} : {' '.join(str(int(s)) for s in succ)}{tail}\n")

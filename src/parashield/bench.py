@@ -112,7 +112,7 @@ def _source_digest():
     return h.hexdigest()
 
 
-def build_runtime(preset, cache_dir=None, pool=None) -> NavRuntime:
+def build_runtime(preset, cache_dir=None) -> NavRuntime:
     """Abstraction plus atomic-shield bank for one grid preset.
 
     With a `cache_dir`, the bank is loaded from the file keyed by preset,
@@ -135,7 +135,7 @@ def build_runtime(preset, cache_dir=None, pool=None) -> NavRuntime:
             except ValueError:    # malformed, or AbstractionMismatch
                 path.unlink()
     if bank is None:
-        bank = synthesize_bank(sys, atomics, base_id=0, pool=pool)
+        bank = synthesize_bank(sys, atomics, base_id=0)
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

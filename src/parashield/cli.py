@@ -13,7 +13,6 @@ import argparse
 import os
 import sys as _sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,12 +50,6 @@ def _out_dir(args):
     return out
 
 
-def _pool(args):
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
-    return ThreadPoolExecutor(max_workers=args.threads) if args.threads > 1 else None
-
-
 def cmd_abstract(args):
     out = _out_dir(args)
     rt_cfg = bench_mod.preset_config(args.grid_preset)
@@ -71,10 +64,7 @@ def cmd_abstract(args):
 
 def cmd_synth_bank(args):
     out = _out_dir(args)
-    pool = _pool(args)
-    rt = bench_mod.build_runtime(args.grid_preset, pool=pool)
-    if pool is not None:
-        pool.shutdown()
+    rt = bench_mod.build_runtime(args.grid_preset)
     path = os.path.join(out, f"bank_{args.grid_preset}.pshb")
     save_bank(rt.bank, path)
     print(f"Abstraction: {rt.abstraction_seconds:.2f} s")
@@ -150,7 +140,6 @@ def make_parser():
 
     ps = sub.add_parser("synth-bank", help="offline phase: synthesize the atomic-shield bank")
     _add_common(ps)
-    ps.add_argument("--threads", type=int, default=1, help="worker threads for the bank synthesis")
     ps.set_defaults(fn=cmd_synth_bank)
 
     pr = sub.add_parser("run", help="run one navigation episode")

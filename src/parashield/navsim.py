@@ -338,27 +338,6 @@ class EpisodeTrace:
                 row["status"] = self.status
                 w.writerow(row)
 
-    @classmethod
-    def from_csv(cls, path, mode="unknown", seed=-1):
-        trace = cls(mode=mode, seed=seed)
-        with open(path, newline="") as f:
-            r = csv.DictReader(f)
-            if r.fieldnames != TRACE_FIELDS:
-                raise ValueError(f"{path}: unexpected trace header {r.fieldnames}")
-            for row in r:
-                trace.status = row.pop("status")
-                trace.steps.append(StepRecord(
-                    step=int(row["step"]), x=float(row["x"]), y=float(row["y"]),
-                    theta=float(row["theta"]), cell=int(row["cell"]),
-                    active_count=int(row["active_count"]),
-                    proposed_v=float(row["proposed_v"]), proposed_a=float(row["proposed_a"]),
-                    chosen_v=float(row["chosen_v"]), chosen_a=float(row["chosen_a"]),
-                    intervened=row["intervened"] == "True", in_domain=row["in_domain"] == "True",
-                    shield_seconds=float(row["shield_seconds"]),
-                    w1=float(row["w1"]), w2=float(row["w2"]), w3=float(row["w3"]),
-                ))
-        return trace
-
 
 def _collides(world: WorldMap, x, y):
     for ob in world.obstacles:

@@ -115,7 +115,7 @@ def _delta(base: ControllerTable, tab: ControllerTable, i):
     return idx, tab.masks[idx].copy(), tab.defined[idx].copy()
 
 
-def synthesize_bank(sys, atomics, base_id=None, pool=None) -> AtomicShieldBank:
+def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     """Offline phase: one safety-controller synthesis per atomic safe set.
 
     The base is the controller of atomic `base_id`, or the universe
@@ -123,10 +123,9 @@ def synthesize_bank(sys, atomics, base_id=None, pool=None) -> AtomicShieldBank:
     base's starts from the base's fixed point (shorter descent, same result;
     from the universe controller it is exactly the cold start).  Each table
     is reduced to its diff against the base as soon as it is synthesized, so
-    at most one full table per worker is alive at a time.
+    at most one full table is alive at a time.
     """
     atomics = list(atomics)
-    run = pool.map if pool is not None else map
     if base_id is None:
         base = universe_controller(sys)
         base_safe = np.ones(sys.n_states, dtype=bool)
@@ -140,7 +139,7 @@ def synthesize_bank(sys, atomics, base_id=None, pool=None) -> AtomicShieldBank:
         warm = base if not np.any(atomics[i].mask & ~base_safe) else None
         return _delta(base, safety_control(sys, SafetySpec(atomics[i]), warm_start=warm), i)
 
-    diffs = list(run(synth_delta, range(len(atomics))))
+    diffs = [synth_delta(i) for i in range(len(atomics))]
     ptr = np.cumsum([0] + [len(d[0]) for d in diffs], dtype=np.int64)
     idx, masks, defined = (np.concatenate(parts) for parts in zip(*diffs))
     return AtomicShieldBank(sys, atomics, base, ptr, idx, masks, defined)

@@ -127,12 +127,6 @@ class ControllerTable:
     def from_bool(cls, defined, allowed):
         return cls(allowed.shape[0], allowed.shape[1], defined, _pack_bool(allowed))
 
-    @classmethod
-    def full_permissive(cls, n_states, n_inputs, domain=None):
-        defined = np.ones(n_states, dtype=bool) if domain is None else np.asarray(domain, bool).copy()
-        allowed = np.tile(defined[:, None], (1, n_inputs))
-        return cls.from_bool(defined, allowed)
-
     @property
     def words(self):
         return self.masks.shape[1]
@@ -200,8 +194,14 @@ def cpre(sys, s: StateSet) -> StateSet:
 
 
 def universe_controller(sys) -> ControllerTable:
-    """Every state defined, every input allowed that does not leave the grid."""
-    return ControllerTable.from_bool(np.ones(sys.n_states, dtype=bool), ~sys.out)
+    """Every state defined, every input allowed that does not leave the grid.
+
+    Packed once per abstraction; each call returns a fresh copy, because
+    `_narrow` narrows the table it is given in place.
+    """
+    if getattr(sys, "_universe", None) is None:
+        sys._universe = ControllerTable.from_bool(np.ones(sys.n_states, dtype=bool), ~sys.out)
+    return sys._universe.copy()
 
 
 def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None):
@@ -296,11 +296,3 @@ def closure_holds(sys, table: ControllerTable) -> bool:
     leaves = sys.out.copy()
     leaves[rows] |= hits
     return not np.any(table.masks & _pack_bool(leaves))
-
-
-def dump_controller(table: ControllerTable, fh, grid=None):
-    """Text dump: one `cell : sorted inputs` line per domain state."""
-    for cell in np.nonzero(table.defined)[0]:
-        label = str(grid.multi(int(cell))) if grid is not None else str(int(cell))
-        inputs = " ".join(str(int(u)) for u in table.allowed_indices(cell))
-        fh.write(f"{label} : {inputs}\n")

@@ -14,7 +14,6 @@ from parashield.abstraction import (
     build_abstraction,
     cos_bounds,
     dubins_step,
-    dump_abstraction,
     load_abstraction,
     reach_overapprox,
     save_abstraction,
@@ -36,6 +35,90 @@ def small_grid(n=6, nt=8):
     return GridSpec.from_target_eta([-0.3, -0.3, -np.pi], [0.3, 0.3, np.pi],
                                     [0.6 / n, 0.6 / n, 2 * np.pi / nt],
                                     periodic=[False, False, True])
+
+
+def cell_center(grid, flat):
+    lo, hi = grid.cell_interval(flat)
+    return (lo + hi) / 2.0
+
+
+def dump_abstraction(sys, fh):
+    """Debug dump, one line per (cell, input)."""
+    for cell in range(sys.n_states):
+        label = str(sys.grid.multi(cell)) if getattr(sys, "grid", None) is not None else str(cell)
+        for u in range(sys.n_inputs):
+            succ, is_out = sys.post(cell, u)
+            tail = " OUT" if is_out else ""
+            fh.write(f"{label} u={u} : {' '.join(str(int(s)) for s in succ)}{tail}\n")
+
+
+def reference_ranges(boxed):
+    """Per-pair successor ranges (starts, lengths, out), derived pair by pair
+    from the shift table: clipped to the grid in x and y with OUT set where
+    the box had to be, wrapped in heading."""
+    offsets = boxed.offsets
+    nx, ny, nt = boxed.grid.shape
+    ix, iy, it = np.unravel_index(np.arange(boxed.n_states), boxed.grid.shape)
+    starts = np.zeros((boxed.n_states, boxed.n_inputs, 3), dtype=np.int16)   # in-box
+    lengths = np.zeros_like(starts)                                          # >= 0
+    out = np.zeros((boxed.n_states, boxed.n_inputs), dtype=bool)
+    for u in range(boxed.n_inputs):
+        for d, (i, n) in enumerate(((ix, nx), (iy, ny))):
+            lo = i + offsets[it, u, d, 0]
+            hi = i + offsets[it, u, d, 1]
+            out[:, u] |= (lo < 0) | (hi > n - 1)
+            start = np.clip(lo, 0, n - 1)
+            starts[:, u, d] = start
+            lengths[:, u, d] = (np.clip(hi, 0, n - 1) - start + 1) * ((hi >= 0) & (lo <= n - 1))
+        t_lo, t_hi = offsets[0, u, 2]
+        starts[:, u, 2] = (it + t_lo) % nt
+        lengths[:, u, 2] = min(t_hi - t_lo + 1, nt)
+    return starts, lengths, out
+
+
+def successor_blocks(boxed, block=4096):
+    """Yield (counts, out_flags, values) over blocks of pairs, in pair order.
+
+    `values` concatenates the successor lists of the block's pairs in pair
+    order, each list sorted; flat indices are expanded from the per-dimension
+    ranges of `reference_ranges` a block at a time.
+    """
+    dims = boxed.grid.dims
+    shape = np.asarray(boxed.grid.shape, dtype=np.int64)
+    periodic = boxed.grid.periodic
+    strides = boxed.grid.strides
+    starts, lengths, out = reference_ranges(boxed)
+    starts = starts.reshape(-1, dims)
+    lengths = lengths.reshape(-1, dims)
+    out = out.reshape(-1)
+    for ofs in range(0, starts.shape[0], block):
+        st = starts[ofs:ofs + block].astype(np.int64)
+        ln = lengths[ofs:ofs + block].astype(np.int64)
+        counts = ln.prod(axis=1)
+        caps = tuple(int(c) for c in ln.max(axis=0))
+        mesh = np.meshgrid(*[np.arange(c, dtype=np.int64) for c in caps], indexing="ij")
+        flat = np.zeros((st.shape[0],) + caps, dtype=np.int64)
+        valid = np.ones_like(flat, dtype=bool)
+        expand = (slice(None),) + (None,) * dims
+        for d in range(dims):
+            idx = st[:, d][expand] + mesh[d][None]
+            if periodic[d]:
+                idx = idx % shape[d]
+            flat += idx * strides[d]
+            valid &= mesh[d][None] < ln[:, d][expand]
+        k = st.shape[0]
+        values = flat.reshape(k, -1)[valid.reshape(k, -1)]
+        pair_of = np.repeat(np.arange(k, dtype=np.int64), counts)
+        order = np.lexsort((values, pair_of))
+        yield counts, out[ofs:ofs + block], values[order]
+
+
+def explicit_reference(boxed):
+    """The boxed abstraction's relation held explicitly, expanded from the
+    per-pair ranges of `reference_ranges`."""
+    counts, outs, values = (np.concatenate(parts) for parts in zip(*successor_blocks(boxed)))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return ExplicitAbstraction(boxed.n_states, boxed.n_inputs, indptr, values, outs)
 
 
 class TestGridSpec:
@@ -80,7 +163,7 @@ class TestGridSpec:
     def test_center_round_trip_every_cell(self):
         g = GridSpec.from_target_eta([-1, 0], [1, 2], [0.25, 0.5], [False, True])
         for c in range(g.n_cells):
-            assert g.quantize(g.cell_center(c)) == c
+            assert g.quantize(cell_center(g, c)) == c
 
     @given(st.floats(-1, 1), st.floats(-1, 1))
     @settings(max_examples=60, deadline=None)
@@ -229,8 +312,7 @@ class TestBuildAbstraction:
         a = build_abstraction(g, inputs, p)
         b = build_abstraction(g, inputs, p)
         assert a.content_hash == b.content_hash
-        assert np.array_equal(a.starts, b.starts)
-        assert np.array_equal(a.lengths, b.lengths)
+        assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.out, b.out)
 
     def test_soundness_by_sampling(self, rng):
@@ -252,6 +334,62 @@ class TestBuildAbstraction:
         g = GridSpec([-1, -1], [1, 1], [0.1, 0.1])
         with pytest.raises(GridMismatch):
             build_abstraction(g, small_inputs(), small_params())
+
+
+class TestPostAgainstRanges:
+    """`post` and `out`, computed from the shift table, against the per-pair
+    ranges of `reference_ranges`."""
+
+    @staticmethod
+    def cases():
+        # partial clipping at all four x-y faces and the heading wrap; x-y
+        # ranges wider than one cell each way and heading ranges of at least
+        # the number of heading cells; boxes wholly past a face and heading
+        # shifts of several rows
+        return [
+            build_abstraction(small_grid(6, 8), small_inputs(), small_params()),
+            build_abstraction(small_grid(6, 4), small_inputs(), small_params(w=(0.15, 0.15, 3.5))),
+            build_abstraction(small_grid(5, 6), InputGrid.from_values([-0.4, 0.4], [-4.0, 4.0]),
+                              small_params(tau=1.0)),
+        ]
+
+    def test_every_pair_of_small_grids(self):
+        covered = set()
+        for boxed in self.cases():
+            explicit = explicit_reference(boxed)
+            assert np.array_equal(boxed.out, explicit.out)
+            for c in range(boxed.n_states):
+                for u in range(boxed.n_inputs):
+                    s1, o1 = boxed.post(c, u)
+                    s2, o2 = explicit.post(c, u)
+                    assert o1 == o2
+                    assert s1.dtype == np.int64 and np.array_equal(s1, s2)
+            lengths = reference_ranges(boxed)[1]
+            cells = np.stack(np.unravel_index(np.arange(boxed.n_states), boxed.grid.shape), axis=1)
+            ranges = boxed.offsets[cells[:, 2]] + cells[:, None, :, None]   # (n, m, 3, 2)
+            nx, ny, nt = boxed.grid.shape
+            for d, n in ((0, nx), (1, ny)):
+                lo, hi = ranges[..., d, 0], ranges[..., d, 1]
+                if np.any((lo < 0) & (hi >= 0)):
+                    covered.add(f"clipped below in {d}")
+                if np.any((hi > n - 1) & (lo <= n - 1)):
+                    covered.add(f"clipped above in {d}")
+                if np.any((hi < 0) | (lo > n - 1)):
+                    covered.add(f"wholly outside in {d}")
+            lo, hi = ranges[..., 2, 0], ranges[..., 2, 1]
+            if np.any(((lo < 0) | (hi > nt - 1)) & (lengths[..., 2] < nt)):
+                covered.add("heading wrap")
+            if np.any(hi - lo + 1 >= nt):
+                covered.add("heading range of at least nt")
+        assert covered == {f"clipped {s} in {d}" for s in ("below", "above") for d in (0, 1)} | {
+            "wholly outside in 0", "wholly outside in 1", "heading wrap", "heading range of at least nt"}
+
+    @pytest.mark.parametrize("preset", ["coarse", "fine"])
+    def test_out_on_presets(self, preset):
+        from parashield.bench import preset_config
+        cfg = preset_config(preset)
+        boxed = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
+        assert np.array_equal(boxed.out, reference_ranges(boxed)[2])
 
 
 class TestSerialization:
@@ -359,7 +497,7 @@ def full_hits(sysm, rows, hits):
 
 class TestNeighbourhoodWords:
     """The boxed abstraction's word/kernel hit test against the same relation
-    held explicitly, expanded from its successor lists."""
+    held explicitly, expanded from the per-pair reference ranges."""
 
     @pytest.fixture(scope="class")
     def coarse_pair(self):
@@ -369,9 +507,7 @@ class TestNeighbourhoodWords:
 
     @staticmethod
     def _pair(boxed):
-        counts, outs, values = (np.concatenate(parts) for parts in zip(*boxed.successor_blocks()))
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return boxed, ExplicitAbstraction(boxed.n_states, boxed.n_inputs, indptr, values, outs)
+        return boxed, explicit_reference(boxed)
 
     def _check(self, boxed, explicit, rng):
         n, m = boxed.n_states, boxed.n_inputs

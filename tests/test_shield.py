@@ -76,17 +76,6 @@ class TestSynthesizeBank:
         with pytest.raises(ValueError):
             synthesize_bank(sysm, [g & h, g], base_id=0)
 
-    def test_thread_pool_synthesis_matches_serial(self, rng):
-        from concurrent.futures import ThreadPoolExecutor
-        sysm = random_system(rng, max_states=48)
-        base = random_state_set(rng, sysm.n_states, density=0.95)
-        atomics = [base] + [base & random_state_set(rng, sysm.n_states) for _ in range(6)]
-        serial = synthesize_bank(sysm, atomics, base_id=0)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = synthesize_bank(sysm, atomics, base_id=0, pool=pool)
-        for i in range(len(atomics)):
-            assert controller_equal(serial.table(i), threaded.table(i))
-
 
 class TestCompose:
     def test_automaton7_pair(self, automaton7, automaton7_bank):

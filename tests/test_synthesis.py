@@ -22,14 +22,28 @@ from parashield.synthesis import (
     closure_holds,
     controller_equal,
     cpre,
-    dump_controller,
     is_sub_controller,
     largest_nonblocking,
     product,
     safety_control,
+    universe_controller,
 )
 
 sets_of_7 = st.sets(st.integers(0, 6))
+
+
+def full_permissive(n_states, n_inputs, domain=None):
+    """Table allowing every input on `domain` (default: every state)."""
+    defined = np.ones(n_states, dtype=bool) if domain is None else np.asarray(domain, bool).copy()
+    return ControllerTable.from_bool(defined, np.tile(defined[:, None], (1, n_inputs)))
+
+
+def dump_controller(table, fh, grid=None):
+    """Text dump: one `cell : sorted inputs` line per domain state."""
+    for cell in np.nonzero(table.defined)[0]:
+        label = str(grid.multi(int(cell))) if grid is not None else str(int(cell))
+        inputs = " ".join(str(int(u)) for u in table.allowed_indices(cell))
+        fh.write(f"{label} : {inputs}\n")
 
 
 def sset(indices, n=7):
@@ -156,6 +170,20 @@ class TestSafetyControlProperties:
             assert controller_equal(warm, cold)
 
 
+class TestUniverseController:
+    def test_each_call_returns_a_fresh_table(self, automaton7):
+        sysm = automaton7[0]
+        expect = ControllerTable.from_bool(np.ones(sysm.n_states, dtype=bool), ~sysm.out)
+        first = universe_controller(sysm)
+        assert controller_equal(first, expect)
+        first.masks[:] = 0
+        first.defined[:] = False
+        assert controller_equal(universe_controller(sysm), expect)
+        # a cold safety_control narrows the table it starts from in place
+        safety_control(sysm, SafetySpec(sset([0, 1])))
+        assert controller_equal(universe_controller(sysm), expect)
+
+
 class TestProduct:
     def test_idempotent(self, rng):
         sysm = random_system(rng)
@@ -165,7 +193,7 @@ class TestProduct:
     def test_identity_element_on_common_domain(self, automaton7):
         sysm, g, _ = automaton7
         t = safety_control(sysm, SafetySpec(g))
-        full = ControllerTable.full_permissive(7, 2, domain=t.defined)
+        full = full_permissive(7, 2, domain=t.defined)
         assert controller_equal(product(t, full), t)
 
     def test_commutative_associative(self, rng):
@@ -180,7 +208,7 @@ class TestProduct:
     def test_universe_mismatch(self, automaton7, rng):
         sysm, g, _ = automaton7
         t = safety_control(sysm, SafetySpec(g))
-        other = ControllerTable.full_permissive(9, 2)
+        other = full_permissive(9, 2)
         with pytest.raises(UniverseMismatch):
             product(t, other)
 
