@@ -9,12 +9,13 @@ non-periodic dimension.
 
 The synthesis fixed points ask one bulk question of a state set, `pair_hits`:
 which pairs have a successor in it.  (All successors of a pair lie in S
-exactly when none lies in the complement of S.)  The boxed abstraction
-answers it with one bitwise test: a per-state word marks which offsets of the
-bounded reach neighbourhood land in the set, a per-(heading row, input)
-kernel marks which offsets the pair's successor box covers, and the pair
-meets the set exactly when the two share a bit.  Words are built only around
-the set, so a question about a few states costs a few states.
+exactly when none lies in the complement of S.)  The answer is packed, one
+bit per input, as controller tables are.  The boxed abstraction has two ways
+to answer it over the offsets of its bounded reach neighbourhood:
+neighbourhood words built on a block around the set, whose cost follows the
+block, and the set's predecessors, whose cost follows the number of (member,
+offset) pairs.  It takes the predecessors when there are no more pairs than
+block cells, so a question about a few states costs a few states.
 """
 
 from __future__ import annotations
@@ -331,14 +332,24 @@ class BoxedAbstraction:
     is a pure function of the grid, the inputs and `offsets`, which is what
     the content hash digests.
 
-    The hit test uses neighbourhood words.  The reach radius R is
-    the largest shift per dimension, so the (2Rx+1)(2Ry+1)(2Rt+1) offsets of
-    the neighbourhood cover every box.  Each (heading row, input) has a kernel
-    whose bit b is set when neighbourhood offset b lies in its box; a state's
-    word has bit b set when offset b from the state lands on a member of the
-    tested set.  A pair meets the set exactly when its word AND its kernel is
-    nonzero (the parts of a box outside the grid hold no member).  Words and
-    kernels take as many 64-bit lanes as the neighbourhood has offsets.
+    The reach radius R is the largest shift per dimension, so the
+    K = (2Rx+1)(2Ry+1)(2Rt+1) offsets of the neighbourhood cover every box
+    (the parts of a box outside the grid hold no member of any set).  Both hit
+    tests read one relation, `inside[t, u, b]`: offset b lies in the box of
+    heading row t and input u.
+
+    - Words path (`_word_hits`).  Each (heading row, input) has a kernel, its
+      `inside` bits over b; a state's word has bit b set when offset b from
+      the state lands on a member of the tested set.  A pair meets the set
+      exactly when its word AND its kernel is nonzero.  Words and kernels take
+      as many 64-bit lanes as the neighbourhood has offsets.
+    - Predecessor path (`_scatter_hits`).  Each member r and offset b give the
+      predecessor p = r - b, and the packed `inside` bits over u at p's
+      heading row and b are p's inputs that reach r through b.  ORing them
+      per p, after one sort, gives p's hits.
+
+    `pair_hits` takes the predecessor path when |members| * K is at most the
+    number of cells of the words block, and the words path otherwise.
     """
 
     def __init__(self, grid: GridSpec, inputs: InputGrid, params: DubinsParams, offsets):
@@ -369,6 +380,18 @@ class BoxedAbstraction:
         inside = ((lo[:, :, 0] <= ox) & (ox <= hi[:, :, 0]) & (lo[:, :, 1] <= oy) & (oy <= hi[:, :, 1])
                   & ((ot - lo[:, :, 2]) % nt < np.minimum(hi[:, :, 2] - lo[:, :, 2] + 1, nt)))
         self._kernels = _pack_bool(inside)    # (nt, n_inputs, lanes) uint64
+        # the predecessor hit test's tables, per (heading row or x-y column of
+        # a state, neighbourhood offset o): the flat index step back to the
+        # predecessor p, whether p is on the grid, and the column of
+        # `_pred_masks` (one 64-bit lane per row) holding the inputs whose box
+        # at p's heading row holds o
+        k = ox.size
+        pt = (np.arange(nt)[:, None] - ot) % nt
+        self._pred_shift = (ox * ny + oy) * nt + np.arange(nt)[:, None] - pt
+        px, py = np.arange(nx)[:, None] - ox, np.arange(ny)[:, None] - oy
+        self._pred_on_grid = (((px >= 0) & (px < nx))[:, None] & ((py >= 0) & (py < ny))[None]).reshape(nx * ny, k)
+        self._pred_cols = pt * k + np.arange(k)
+        self._pred_masks = _pack_bool(inside.transpose(0, 2, 1).copy()).reshape(nt * k, -1).T.copy()
         h = hashlib.sha256()
         h.update(b"PSHD-offsets")
         h.update(grid._canonical_bytes())
@@ -378,25 +401,28 @@ class BoxedAbstraction:
 
     # -- bulk primitives used by the synthesis fixed points ---------------
 
-    def _hits(self, idx, within=None):
-        """`pair_hits` on ascending flat indices, without `row_alive`."""
+    def _word_block(self, xs, ys):
+        """The words block around states with x and y coordinates `xs`
+        (ascending) and `ys`, as (x0, x1, y0, y1, shape): words are needed on
+        the states' x-y bounding box grown by the radius, [x0, x1) x [y0, y1);
+        the block they read is that box grown once more, zero past the x-y
+        faces, its heading padded by the cells across the wrap."""
+        nx, ny, nt = self.grid.shape
+        rx, ry, rt = self.reach_radius.tolist()
+        x0, x1 = max(int(xs[0]) - rx, 0), min(int(xs[-1]) + rx + 1, nx)
+        y0, y1 = max(int(ys.min()) - ry, 0), min(int(ys.max()) + ry + 1, ny)
+        return x0, x1, y0, y1, (x1 - x0 + 2 * rx, y1 - y0 + 2 * ry, nt + 2 * rt)
+
+    def _word_hits(self, cells, within=None):
+        """`pair_hits` by neighbourhood words on the states whose coordinate
+        arrays `cells` unravel ascending flat indices, without `row_alive`:
+        its work scales with the block around the states."""
         shape = self.grid.shape
         rad = [int(r) for r in self.reach_radius]
-        if idx.size == 0:
-            return idx, np.zeros((0, self.n_inputs), dtype=bool)
-        # words are needed on the removed states' x-y bounding box [bx, by]
-        # grown by the radius; the block they read is that box grown once
-        # more, zero past the x-y faces, its heading padded by the cells
-        # across the wrap
         nt, rt = shape[2], rad[2]
-        xy, ts = np.divmod(idx, nt)
-        xs, ys = np.divmod(xy, shape[1])
-        bx = int(xs[0]), int(xs[-1])
-        by = int(ys.min()), int(ys.max())
-        x0, x1 = max(bx[0] - rad[0], 0), min(bx[1] + rad[0] + 1, shape[0])
-        y0, y1 = max(by[0] - rad[1], 0), min(by[1] + rad[1] + 1, shape[1])
-        words = np.zeros((x1 - x0 + 2 * rad[0], y1 - y0 + 2 * rad[1], nt + 2 * rt, self._kernels.shape[2]),
-                         dtype=np.uint64)
+        xs, ys, ts = cells
+        x0, x1, y0, y1, block = self._word_block(xs, ys)
+        words = np.zeros(block + (self._kernels.shape[2],), dtype=np.uint64)
         words[xs - x0 + rad[0], ys - y0 + rad[1], ts + rt, 0] = 1
         words[:, :, :rt] = words[:, :, nt:nt + rt]
         words[:, :, nt + rt:] = words[:, :, rt:2 * rt]
@@ -426,7 +452,37 @@ class BoxedAbstraction:
             np.not_equal(both[..., 0], 0, out=hits[blk])
             for lane in range(1, both.shape[2]):
                 hits[blk] |= both[..., lane] != 0
-        return rows, hits
+        return rows, _pack_bool(hits)
+
+    def _scatter_hits(self, cells, within=None):
+        """`pair_hits` by predecessors on the states whose coordinate arrays
+        `cells` unravel ascending flat indices, without `row_alive`: its work
+        scales with the number of states times the K neighbourhood offsets.
+        State r and offset o name the predecessor p = r - o (none past an x-y
+        face; heading wraps), whose inputs with o in their box are column
+        (heading row of p) * K + o of `_pred_masks`; the columns of each
+        predecessor are ORed together."""
+        _, ny, nt = self.grid.shape
+        xs, ys, ts = cells
+        xy = xs * ny + ys
+        pred = (xy * nt + ts)[:, None] - self._pred_shift[ts]
+        ok = self._pred_on_grid[xy]
+        if within is not None:
+            ok &= within.take(pred, mode="clip")    # clipped reads are masked by ok
+        # one sort orders the (predecessor, column) pairs by predecessor;
+        # flat indices and columns fit in 32 bits each
+        pairs = (pred[ok] << 32) | self._pred_cols[ts][ok]
+        pairs.sort()
+        pred = pairs >> 32
+        cols = pairs & 0xFFFFFFFF
+        first = np.empty(pred.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(pred[1:], pred[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        hits = np.empty((starts.size, len(self._pred_masks)), dtype=np.uint64)
+        for w, lane in enumerate(self._pred_masks):
+            hits[:, w] = np.bitwise_or.reduceat(lane[cols], starts)
+        return pred[starts], hits
 
     def pair_hits(self, removed, within=None, row_alive=None):
         """Pairs whose successor box intersects `removed`, as (rows, hits).
@@ -434,13 +490,29 @@ class BoxedAbstraction:
         `removed` is a boolean mask or the ascending flat indices of the
         states.  `rows` are the states, ascending, within the reach radius of
         a removed state (a dilation of the removed set, optionally restricted
-        to the mask `within`); `hits` is (len(rows), n_inputs).  States outside
-        `rows` cannot hit.  `row_alive(rows) -> (len(rows), n_inputs) bool`
-        narrows the result to pairs the caller still cares about.
+        to the mask `within`); `hits` holds their hit inputs packed as in
+        `ControllerTable.masks`, (len(rows), ceil(n_inputs / 64)) uint64.
+        States outside `rows` cannot hit.  `row_alive(rows) -> (len(rows),
+        n_inputs) bool` narrows the result to pairs the caller still cares
+        about.
+
+        The answer comes from the predecessors of the removed states when
+        there are no more (state, offset) pairs than cells in the words
+        block, and from neighbourhood words otherwise.  Both paths give the
+        same answer, and the predecessor path never holds more pairs than
+        the words block would hold cells.
         """
-        rows, hits = self._hits(np.flatnonzero(removed) if removed.dtype == bool else removed, within)
+        idx = np.flatnonzero(removed) if removed.dtype == bool else removed
+        if idx.size == 0:
+            return idx, np.zeros((0, len(self._pred_masks)), dtype=np.uint64)
+        cells = np.unravel_index(idx, self.grid.shape)
+        bx, by, bt = self._word_block(cells[0], cells[1])[-1]
+        if idx.size * self._pred_cols.shape[1] <= bx * by * bt:
+            rows, hits = self._scatter_hits(cells, within)
+        else:
+            rows, hits = self._word_hits(cells, within)
         if row_alive is not None and len(rows):
-            hits &= row_alive(rows)
+            hits &= _pack_bool(row_alive(rows))
         return rows, hits
 
     # -- per-pair queries --------------------------------------------------
@@ -518,7 +590,7 @@ class ExplicitAbstraction:
         hits = hit[rows]
         if row_alive is not None:
             hits &= row_alive(rows)
-        return rows, hits
+        return rows, _pack_bool(hits)
 
     def post(self, cell, u):
         i = cell * self.n_inputs + u

@@ -13,6 +13,7 @@ there are none and composition is a handful of bitwise ANDs.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ from .synthesis import (
     safety_control,
     universe_controller,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -123,7 +126,9 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     base's starts from the base's fixed point (shorter descent, same result;
     from the universe controller it is exactly the cold start).  Each table
     is reduced to its diff against the base as soon as it is synthesized, so
-    at most one full table is alive at a time.
+    at most one full table is alive at a time.  Progress goes to this
+    module's logger: one DEBUG record per atomic, whose `atomic`, `atomics`
+    and `diff_rows` attributes give its index, the total and its diff size.
     """
     atomics = list(atomics)
     if base_id is None:
@@ -135,9 +140,13 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
 
     def synth_delta(i):
         if i == base_id:
-            return _delta(base, base, i)
-        warm = base if not np.any(atomics[i].mask & ~base_safe) else None
-        return _delta(base, safety_control(sys, SafetySpec(atomics[i]), warm_start=warm), i)
+            diff = _delta(base, base, i)
+        else:
+            warm = base if not np.any(atomics[i].mask & ~base_safe) else None
+            diff = _delta(base, safety_control(sys, SafetySpec(atomics[i]), warm_start=warm), i)
+        logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), len(diff[0]),
+                     extra={"atomic": i, "atomics": len(atomics), "diff_rows": len(diff[0])})
+        return diff
 
     diffs = [synth_delta(i) for i in range(len(atomics))]
     ptr = np.cumsum([0] + [len(d[0]) for d in diffs], dtype=np.int64)

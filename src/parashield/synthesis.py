@@ -10,6 +10,11 @@ nonblocking pruning from a product's undefined and blocking states, and
 `compose` from a raw product's blocking states.  Once a pair has a successor
 outside the shrinking domain it stays disallowed, so each sweep only re-tests
 pairs whose successor box meets the freshly removed cells.
+
+The abstraction answers in the tables' own packing, so hits clear bits
+directly.  A boxed abstraction answers a sweep that removed few states from
+their predecessors and one that removed many from neighbourhood words around
+them (`BoxedAbstraction.pair_hits`).
 """
 
 from __future__ import annotations
@@ -188,7 +193,7 @@ def cpre(sys, s: StateSet) -> StateSet:
     """Controllable predecessor: states with an input forcing all successors into s."""
     _check_universe(sys, s)
     rows, hits = sys.pair_hits(~s.mask)
-    ok = ~sys.out
+    ok = universe_controller(sys).masks
     ok[rows] &= ~hits
     return StateSet(ok.any(axis=1))
 
@@ -212,12 +217,14 @@ def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None):
     The callers make two things hold: every row in `removed` is empty, and no
     allowed input is OUT or leads outside the domain except into `removed`.
     Each sweep asks `sys.pair_hits` which inputs reach the states just
-    removed; on a boxed abstraction that test builds neighbourhood words only
-    around those states, so a sweep's work scales with the removed region,
-    not the grid.  Rows stay packed and the removed states are an ascending
-    index array, so no sweep touches a full-length array.  Hits need no
-    narrowing to allowed inputs (clearing a clear bit does nothing), and a
-    state leaves the domain with an empty row, so no row needs zeroing.
+    removed and clears the packed hits it returns from the rows, lane by
+    lane; on a boxed abstraction that test works from those states' region
+    (their predecessors, or neighbourhood words around them), so a sweep's
+    work scales with the removed region, not the grid.  The removed states
+    are an ascending index array, so no sweep touches a full-length array.
+    Hits need no narrowing to allowed inputs (clearing a clear bit does
+    nothing), and a state leaves the domain with an empty row, so no row
+    needs zeroing.
 
     `iteration_sizes` receives the domain size after the first removal and
     after every sweep; the sweep that removes nothing repeats the last size.
@@ -231,10 +238,9 @@ def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None):
         iteration_sizes.append(size)
     while removed.size:
         rows, hits = sys.pair_hits(removed, within=d)
-        clear = _pack_bool(hits)
         empty = np.ones(len(rows), dtype=bool)
         for w, col in enumerate(lanes):
-            kept = col[rows] & ~clear[:, w]
+            kept = col[rows] & ~hits[:, w]
             col[rows] = kept
             empty &= kept == 0
         removed = rows[empty]
@@ -293,6 +299,6 @@ def largest_nonblocking(sys, table: ControllerTable) -> ControllerTable:
 def closure_holds(sys, table: ControllerTable) -> bool:
     """Check that every allowed input maps entirely into the table's domain."""
     rows, hits = sys.pair_hits(~table.defined)
-    leaves = sys.out.copy()
+    leaves = _pack_bool(sys.out)
     leaves[rows] |= hits
-    return not np.any(table.masks & _pack_bool(leaves))
+    return not np.any(table.masks & leaves)

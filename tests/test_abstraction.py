@@ -21,6 +21,7 @@ from parashield.abstraction import (
     wrap_angle,
 )
 from parashield.errors import GridMismatch, PointOutOfDomain
+from parashield.synthesis import SafetySpec, _pack_bool, _unpack_bool, safety_control
 
 
 def small_params(w=(0.01, 0.01, 0.02), tau=0.1):
@@ -491,13 +492,14 @@ def probe_sets(grid, rng):
 
 def full_hits(sysm, rows, hits):
     out = np.zeros((sysm.n_states, sysm.n_inputs), dtype=bool)
-    out[rows] = hits
+    out[rows] = _unpack_bool(hits, sysm.n_inputs)
     return out
 
 
 class TestNeighbourhoodWords:
-    """The boxed abstraction's word/kernel hit test against the same relation
-    held explicitly, expanded from the per-pair reference ranges."""
+    """The boxed abstraction's two hit tests, neighbourhood words and
+    predecessors, against each other and against the same relation held
+    explicitly, expanded from the per-pair reference ranges."""
 
     @pytest.fixture(scope="class")
     def coarse_pair(self):
@@ -514,20 +516,32 @@ class TestNeighbourhoodWords:
         for removed in probe_sets(boxed.grid, rng):
             within = rng.random(n) < 0.7
             alive = rng.random((n, m)) < 0.6
+            idx = np.flatnonzero(removed)
             for w in (None, within):
+                expect_rows = reach_dilation(boxed.grid, boxed.reach_radius, removed)
+                if w is not None:
+                    expect_rows &= w
+                expect_rows = np.flatnonzero(expect_rows)
+                erows, ehits = explicit.pair_hits(removed, within=w)
+                expect_hits = full_hits(explicit, erows, ehits)
+                # both paths on every nonempty set, whichever the dispatch picks
+                if idx.size:
+                    cells = np.unravel_index(idx, boxed.grid.shape)
+                    answers = [boxed._word_hits(cells, w), boxed._scatter_hits(cells, w)]
+                    for rows, hits in answers:
+                        assert np.array_equal(rows, expect_rows)
+                        assert np.array_equal(full_hits(boxed, rows, hits), expect_hits)
+                    assert np.array_equal(answers[0][0], answers[1][0])
+                    assert np.array_equal(answers[0][1], answers[1][1])
                 for row_alive in (None, lambda r: alive[r]):
                     rows, hits = boxed.pair_hits(removed, within=w, row_alive=row_alive)
                     erows, ehits = explicit.pair_hits(removed, within=w, row_alive=row_alive)
                     # the ascending-index form answers exactly as the mask form
                     for sysm, mask_answer in ((boxed, (rows, hits)), (explicit, (erows, ehits))):
-                        irows, ihits = sysm.pair_hits(np.flatnonzero(removed), within=w, row_alive=row_alive)
+                        irows, ihits = sysm.pair_hits(idx, within=w, row_alive=row_alive)
                         assert np.array_equal(irows, mask_answer[0])
                         assert np.array_equal(ihits, mask_answer[1])
-                    expect_rows = reach_dilation(boxed.grid, boxed.reach_radius, removed)
-                    if w is not None:
-                        expect_rows &= w
-                    assert np.array_equal(rows, np.flatnonzero(expect_rows))
-                    assert hits.shape == (len(rows), m)
+                    assert np.array_equal(rows, expect_rows)
                     assert np.array_equal(full_hits(boxed, rows, hits), full_hits(explicit, erows, ehits))
 
     def test_coarse_matches_explicit(self, coarse_pair, rng):
@@ -537,8 +551,68 @@ class TestNeighbourhoodWords:
 
     def test_neighbourhood_over_64_bits(self, rng):
         # wide x-y disturbance and a heading disturbance past half the circle
-        # on four heading cells: radius (2, 2, 2) after clipping, 125 offsets
+        # on four heading cells: radius (2, 2, 2) after clipping, 125 offsets;
+        # heading offsets -2 and +2 coincide, so the predecessor path meets
+        # every predecessor twice through them
         boxed = build_abstraction(small_grid(6, 4), small_inputs(), small_params(w=(0.15, 0.15, 3.5)))
         assert list(boxed.reach_radius) == [2, 2, 2]
         boxed, explicit = self._pair(boxed)
         self._check(boxed, explicit, rng)
+
+    def test_cold_synthesis_takes_both_paths(self, coarse_pair, monkeypatch):
+        # a cold descent's first sweep removes the whole unsafe region and is
+        # answered by words; its last sweeps remove a thin frontier and are
+        # answered by predecessors
+        from parashield.bench import preset_config
+        from parashield.navsim import make_atomics
+        boxed, _ = coarse_pair
+        cfg = preset_config("coarse")
+        paths = []
+        for name in ("_word_hits", "_scatter_hits"):
+            def counted(*args, _inner=getattr(boxed, name), _name=name):
+                paths.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(boxed, name, counted, raising=False)
+        sizes = []
+        safety_control(boxed, SafetySpec(make_atomics(cfg.grid, cfg.d, cfg.epsilon)[1]), iteration_sizes=sizes)
+        assert paths[0] == "_word_hits" and paths[-1] == "_scatter_hits"
+        assert len(paths) == len(sizes) - 1
+
+
+class TestPackedHits:
+    """`pair_hits` answers in the `ControllerTable.masks` layout on both
+    abstractions: uint64 words, zero past `n_inputs`, narrowed by `row_alive`."""
+
+    @staticmethod
+    def _check(sysm, removed, rng):
+        m = sysm.n_inputs
+        padding = ~_pack_bool(np.ones(m, dtype=bool))
+        alive = rng.random((sysm.n_states, m)) < 0.5
+        rows, hits = sysm.pair_hits(removed)
+        assert hits.dtype == np.uint64 and hits.shape == (len(rows), (m + 63) // 64)
+        assert not np.any(hits & padding)
+        assert np.any(hits)
+        narrowed_rows, narrowed = sysm.pair_hits(removed, row_alive=lambda r: alive[r])
+        assert np.array_equal(narrowed_rows, rows)
+        assert np.array_equal(narrowed, hits & _pack_bool(alive[rows]))
+
+    def test_boxed_both_paths(self, rng):
+        # 85 inputs, two words per row; a sparse and a dense set
+        from parashield.bench import preset_config
+        cfg = preset_config("coarse")
+        boxed = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
+        padding = ~_pack_bool(np.ones(boxed.n_inputs, dtype=bool))
+        for density in (0.0005, 0.3):
+            removed = rng.random(boxed.n_states) < density
+            self._check(boxed, removed, rng)
+            cells = np.unravel_index(np.flatnonzero(removed), boxed.grid.shape)
+            for path in (boxed._word_hits, boxed._scatter_hits):
+                _, hits = path(cells)
+                assert hits.dtype == np.uint64 and not np.any(hits & padding)
+
+    @pytest.mark.parametrize("m", [1, 64, 70, 130])
+    def test_explicit(self, rng, m):
+        n = 40
+        post = {(x, u): rng.integers(0, n, size=2).tolist() for x in range(n) for u in range(m)}
+        sysm = ExplicitAbstraction.from_map(n, m, post)
+        self._check(sysm, rng.random(n) < 0.2, rng)

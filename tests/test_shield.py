@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,17 @@ class TestSynthesizeBank:
             cold = safety_control(sysm, SafetySpec(atomics[i]))
             assert controller_equal(universe.table(i), cold)
             assert controller_equal(fence.table(i), cold)
+
+    def test_logs_one_record_per_atomic(self, rng, caplog):
+        sysm = random_system(rng, max_states=40)
+        base = random_state_set(rng, sysm.n_states, density=0.95)
+        atomics = [base] + [base & random_state_set(rng, sysm.n_states) for _ in range(4)]
+        with caplog.at_level(logging.DEBUG, logger="parashield.shield"):
+            bank = synthesize_bank(sysm, atomics, base_id=0)
+        records = [r for r in caplog.records if r.name == "parashield.shield"]
+        assert [r.atomic for r in records] == list(range(len(atomics)))
+        assert all(r.levelno == logging.DEBUG and r.atomics == len(atomics) for r in records)
+        assert [r.diff_rows for r in records] == list(np.diff(bank.ptr))
 
     def test_delta_requires_sub_controllers(self, automaton7):
         sysm, g, h = automaton7
