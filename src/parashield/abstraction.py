@@ -1,11 +1,14 @@
 """Finite abstractions of a perturbed discrete-time vehicle on uniform grids.
 
 The state box is partitioned into half-open cells of uniform width per
-dimension.  A one-step reachable set is over-approximated per (cell, input)
-pair by exact interval arithmetic on the vehicle dynamics; the abstract
-transition relation maps each pair to the set of cells that intersect the
-image box, with a distinguished OUT flag when the image leaves the box in a
-non-periodic dimension.
+dimension, and `GridSpec.quantize_many` is the one map from float points to
+cells (`quantize` is its one-point case).  A one-step reachable set is
+over-approximated per (cell, input) pair by interval arithmetic on the
+vehicle dynamics: the cell plus the bounds of one step's displacement, which
+`_displacement` alone computes, for `build_abstraction` and
+`reach_overapprox` alike.  The abstract transition relation maps each pair to
+the set of cells that intersect the image box, with a distinguished OUT flag
+when the image leaves the box in a non-periodic dimension.
 
 The synthesis fixed points ask one bulk question of a state set, `pair_hits`:
 which pairs have a successor in it.  (All successors of a pair lie in S
@@ -97,48 +100,33 @@ class GridSpec:
         """Flat index of a multi-index."""
         return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.shape))
 
-    def wrap_point(self, point):
-        """Wrap periodic coordinates into [lower, upper); others unchanged."""
-        p = np.asarray(point, dtype=np.float64).copy()
-        span = self.upper - self.lower
-        w = self.periodic
-        p[w] = self.lower[w] + np.mod(p[w] - self.lower[w], span[w])
-        return p
-
     def quantize(self, point):
-        """Flat index of the cell containing `point`.
-
-        Boundary points at a cell's upper face belong to the next cell, except
-        the box's top face in non-periodic dimensions, which belongs to the
-        last cell.  Raises PointOutOfDomain when a non-periodic coordinate
-        falls outside the closed box.
-        """
-        p = self.wrap_point(point)
-        if p.size != self.dims:
-            raise PointOutOfDomain(f"point has {p.size} coordinates, grid has {self.dims}")
-        rel = p - self.lower
-        span = self.upper - self.lower
-        bad = ~self.periodic & ((rel < 0) | (rel > span))
-        if np.any(bad):
-            d = int(np.nonzero(bad)[0][0])
-            raise PointOutOfDomain(f"coordinate {p[d]} outside [{self.lower[d]}, {self.upper[d]}] in dimension {d}")
-        idx = np.floor(rel / self.eta).astype(np.int64)
-        # top face of the box and float overshoot land in the last cell
-        idx = np.minimum(idx, np.asarray(self.shape) - 1)
-        idx = np.maximum(idx, 0)
-        return int((idx * self.strides).sum())
+        """Flat index of the cell containing `point`: `quantize_many` on one row."""
+        return int(self.quantize_many([point])[0])
 
     def quantize_many(self, points):
-        """Vectorized quantize for an (n, dims) array of in-box points."""
+        """Flat indices of the cells containing the rows of an (n, dims) array.
+
+        Periodic coordinates are wrapped into [lower, upper) first.  Boundary
+        points at a cell's upper face belong to the next cell, except the
+        box's top face in non-periodic dimensions, which belongs to the last
+        cell.  Raises PointOutOfDomain when the array is not (n, dims) or a
+        non-periodic coordinate falls outside the closed box.
+        """
         p = np.asarray(points, dtype=np.float64)
-        rel = p - self.lower
+        if p.ndim != 2 or p.shape[1] != self.dims:
+            raise PointOutOfDomain(f"points of shape {p.shape} do not have {self.dims} coordinates each")
         span = self.upper - self.lower
         w = self.periodic
-        rel[:, w] = np.mod(rel[:, w], span[w])
-        if np.any(~w & ((rel < 0) | (rel > span))):
-            raise PointOutOfDomain("some points fall outside the box")
+        # wrap, then subtract: every step's frame cell rests on these roundings
+        rel = np.where(w, self.lower + np.mod(p - self.lower, span), p) - self.lower
+        bad = ~w & ((rel < 0) | (rel > span))
+        if np.any(bad):
+            i, d = (int(k[0]) for k in np.nonzero(bad))
+            raise PointOutOfDomain(f"coordinate {p[i, d]} outside [{self.lower[d]}, {self.upper[d]}] in dimension {d}")
+        # top face of the box and float overshoot land in the last cell
         idx = np.floor(rel / self.eta).astype(np.int64)
-        idx = np.clip(idx, 0, np.asarray(self.shape) - 1)
+        idx = np.maximum(np.minimum(idx, np.asarray(self.shape) - 1), 0)
         return idx @ self.strides
 
     def cell_interval(self, flat):
@@ -282,33 +270,39 @@ def sin_bounds(lo, hi):
     return cos_bounds(lo - np.pi / 2.0, hi - np.pi / 2.0)
 
 
+def _displacement(th_lo, th_hi, v, a, params: DubinsParams):
+    """Bounds (lo, hi) of one step's motion in (x, y, heading) from a heading
+    in [th_lo, th_hi] under input (v, a) and every disturbance.
+
+    Broadcasts over the leading axes of its arguments; (x, y, heading) is the
+    new last axis.  This is the one place the vehicle's interval image is
+    computed: `build_abstraction` quantizes it per (heading row, input) and
+    `reach_overapprox` adds it to a box.
+    """
+    t = params.tau
+    w = params.disturbance.radius
+    lo, hi = [], []
+    for d, (b_min, b_max) in enumerate((cos_bounds(th_lo, th_hi), sin_bounds(th_lo, th_hi))):
+        p, q = v * b_min, v * b_max
+        lo.append(t * np.minimum(p, q) - w[d])
+        hi.append(t * np.maximum(p, q) + w[d])
+    lo.append(a * t - w[2])
+    hi.append(a * t + w[2])
+    return np.stack(np.broadcast_arrays(*lo), axis=-1), np.stack(np.broadcast_arrays(*hi), axis=-1)
+
+
 def reach_overapprox(cell_box, u, params: DubinsParams):
     """Interval image of a state box under one vehicle step, all disturbances.
 
     `cell_box` is a (lo, hi) pair of length-3 vectors.  The returned (lo, hi)
-    box contains every dubins_step(x, u, w) with x in the box and w in the
-    disturbance box.  The heading interval of the result is not wrapped.
+    box is that box plus the step's displacement bounds, so it contains every
+    dubins_step(x, u, w) with x in the box and w in the disturbance box.  The
+    heading interval of the result is not wrapped.
     """
     lo = np.asarray(cell_box[0], dtype=np.float64)
     hi = np.asarray(cell_box[1], dtype=np.float64)
-    v, a = float(u[0]), float(u[1])
-    t = params.tau
-    w = params.disturbance.radius
-    cmin, cmax = cos_bounds(lo[2], hi[2])
-    smin, smax = sin_bounds(lo[2], hi[2])
-    dx = np.array([v * cmin, v * cmax]) * t
-    dy = np.array([v * smin, v * smax]) * t
-    out_lo = np.array([
-        lo[0] + dx.min() - w[0],
-        lo[1] + dy.min() - w[1],
-        lo[2] + a * t - w[2],
-    ])
-    out_hi = np.array([
-        hi[0] + dx.max() + w[0],
-        hi[1] + dy.max() + w[1],
-        hi[2] + a * t + w[2],
-    ])
-    return out_lo, out_hi
+    d_lo, d_hi = _displacement(lo[2], hi[2], float(u[0]), float(u[1]), params)
+    return lo + d_lo, hi + d_hi
 
 
 def _or_shifted(acc, src, s):
@@ -612,34 +606,22 @@ class ExplicitAbstraction:
 def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -> BoxedAbstraction:
     """Abstract the vehicle over a 3-d grid (x, y periodic-free, heading periodic).
 
-    The interval image of a cell moves it by a displacement that depends only
-    on its heading row and the input, so index shifts are computed once per
-    (heading row, input) pair, floor(delta_lo / eta) and ceil(delta_hi / eta),
-    which keeps the zero-motion case exact: a cell maps to itself alone.
+    The interval image of a cell (`reach_overapprox`) is the cell moved by a
+    displacement whose bounds depend only on its heading row and the input.
+    `_displacement` gives them for every (heading row, input) pair at once,
+    and the index shifts are floor(lo / eta) and ceil(hi / eta), which keeps
+    the zero-motion case exact: a cell maps to itself alone.
     These shifts are the whole abstraction: `BoxedAbstraction` derives the
     OUT mask, the hit-test kernels and every post-set from them.
     """
     if grid.dims != 3 or grid.periodic[0] or grid.periodic[1] or not grid.periodic[2]:
         raise GridMismatch("vehicle abstraction expects (x, y, heading) with only the heading periodic")
-    nt = grid.shape[2]
-    t = params.tau
-    w = params.disturbance.radius
-    eta = grid.eta
-
-    th_lo = grid.lower[2] + np.arange(nt) * eta[2]
-    th_hi = th_lo + eta[2]
-    v = inputs.points[:, 0]
-    a = inputs.points[:, 1]
+    nt, eta = grid.shape[2], grid.eta
+    th_lo = (grid.lower[2] + np.arange(nt) * eta[2])[:, None]
+    lo, hi = _displacement(th_lo, th_lo + eta[2], inputs.points[:, 0], inputs.points[:, 1], params)
     # per (heading row, input) index shifts; the image interval is half-open
     # at the top because cells are, so the upper shift uses ceil
-    offsets = np.empty((nt, len(inputs), 3, 2), dtype=np.int64)
-    for d, (b_min, b_max) in enumerate((cos_bounds(th_lo, th_hi), sin_bounds(th_lo, th_hi))):
-        lo = v * b_min[:, None]
-        hi = v * b_max[:, None]
-        offsets[..., d, 0] = np.floor((t * np.minimum(lo, hi) - w[d]) / eta[d])
-        offsets[..., d, 1] = np.ceil((t * np.maximum(lo, hi) + w[d]) / eta[d])
-    offsets[..., 2, 0] = np.floor((a * t - w[2]) / eta[2])
-    offsets[..., 2, 1] = np.ceil((a * t + w[2]) / eta[2])
+    offsets = np.stack([np.floor(lo / eta), np.ceil(hi / eta)], axis=-1).astype(np.int64)
     return BoxedAbstraction(grid, inputs, params, offsets)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -305,11 +305,7 @@ class StepRecord:
     w3: float
 
 
-TRACE_FIELDS = [
-    "step", "x", "y", "theta", "cell", "active_count",
-    "proposed_v", "proposed_a", "chosen_v", "chosen_a",
-    "intervened", "in_domain", "shield_seconds", "w1", "w2", "w3", "status",
-]
+TRACE_FIELDS = [f.name for f in fields(StepRecord)] + ["status"]
 
 
 @dataclass

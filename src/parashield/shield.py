@@ -47,10 +47,9 @@ class ShieldDecision:
 class Shield:
     """Composed safety controller plus the nearest-allowed-input override."""
 
-    def __init__(self, table: ControllerTable, inputs, active_ids=None):
+    def __init__(self, table: ControllerTable, inputs):
         self.table = table
         self.inputs = inputs
-        self.active_ids = None if active_ids is None else tuple(sorted(active_ids))
 
     def domain(self) -> StateSet:
         return self.table.domain()
@@ -162,7 +161,7 @@ def compose(bank: AtomicShieldBank, active) -> Shield:
     exactly that.
     """
     raw = bank.raw_product(active)
-    return Shield(_narrow(bank.sys, raw, raw.blocking().mask), bank.sys.inputs, active_ids=active)
+    return Shield(_narrow(bank.sys, raw, raw.blocking().mask), bank.sys.inputs)
 
 
 def pure_online_shield(sys, safe_sets) -> Shield:

@@ -43,6 +43,39 @@ def cell_center(grid, flat):
     return (lo + hi) / 2.0
 
 
+def coarse_grid():
+    from parashield.bench import preset_config
+    return preset_config("coarse").grid
+
+
+def periodic_2d_grid():
+    return GridSpec.from_target_eta([-np.pi, 0.0], [np.pi, 1.0], [np.pi / 3, 0.25], [True, False])
+
+
+def face_probe_points(grid, rng, n_random=200):
+    """Points where rounding decides the cell: every cell face of each axis
+    and one ulp either side of it, shifted by a whole period either way on
+    periodic axes, and the box's top face and the float below it on the
+    others; the other coordinates are random in the box.  Random interior
+    points follow."""
+    span = grid.upper - grid.lower
+    rows = []
+    for d in range(grid.dims):
+        faces = grid.lower[d] + np.arange(grid.shape[d] + 1) * grid.eta[d]
+        if not grid.periodic[d]:
+            faces = np.append(faces, grid.upper[d])
+        vals = np.concatenate([faces, np.nextafter(faces, -np.inf), np.nextafter(faces, np.inf)])
+        if grid.periodic[d]:
+            vals = np.concatenate([vals, vals - span[d], vals + span[d]])
+        else:
+            vals = vals[(grid.lower[d] <= vals) & (vals <= grid.upper[d])]
+        pts = rng.uniform(grid.lower, grid.upper, size=(len(vals), grid.dims))
+        pts[:, d] = vals
+        rows.append(pts)
+    rows.append(rng.uniform(grid.lower, grid.upper, size=(n_random, grid.dims)))
+    return np.concatenate(rows)
+
+
 def dump_abstraction(sys, fh):
     """Debug dump, one line per (cell, input)."""
     for cell in range(sys.n_states):
@@ -137,6 +170,18 @@ class TestGridSpec:
         with pytest.raises(PointOutOfDomain):
             g.quantize((1.5, 0.0))
 
+    @pytest.mark.parametrize("point", [(), (0.0,), (0.0, 0.0, 0.0)])
+    def test_wrong_coordinate_count_rejected(self, point):
+        g = GridSpec([-1, -1], [1, 1], [0.1, 0.1])
+        with pytest.raises(PointOutOfDomain):
+            g.quantize(point)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2,), (1, 2, 2)])
+    def test_wrong_array_shape_rejected(self, shape):
+        g = GridSpec([-1, -1], [1, 1], [0.1, 0.1])
+        with pytest.raises(PointOutOfDomain):
+            g.quantize_many(np.zeros(shape))
+
     def test_top_face_belongs_to_last_cell(self):
         g = GridSpec([-1, -1], [1, 1], [0.1, 0.1])
         assert g.multi(g.quantize((1.0, 1.0))) == (19, 19)
@@ -186,6 +231,35 @@ class TestGridSpec:
             GridSpec([0], [-1], [0.1])
         with pytest.raises(GridMismatch):
             GridSpec([0], [1], [-0.1])
+
+
+@pytest.mark.parametrize("make_grid", [coarse_grid, periodic_2d_grid], ids=["coarse", "periodic-2d"])
+class TestFloatToCellMap:
+    """`quantize` is `quantize_many` on one row, at the faces where rounding
+    decides the cell and on rows outside the box."""
+
+    def test_many_equals_one_by_one(self, make_grid, rng):
+        g = make_grid()
+        pts = face_probe_points(g, rng)
+        cells = g.quantize_many(pts)
+        assert np.array_equal(cells, [g.quantize(p) for p in pts])
+        # each cell holds its point, wrapped, up to one rounding step
+        span = g.upper - g.lower
+        wrapped = np.where(g.periodic, g.lower + np.mod(pts - g.lower, span), pts)
+        lo = g.lower + np.stack(np.unravel_index(cells, g.shape), axis=1) * g.eta
+        tol = 1e-9 * g.eta
+        assert np.all(lo - tol <= wrapped) and np.all(wrapped <= lo + g.eta + tol)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_out_of_box_row_rejected(self, make_grid, rng, side):
+        g = make_grid()
+        pts = face_probe_points(g, rng)
+        d = int(np.flatnonzero(~g.periodic)[0])
+        pts[7, d] = (g.upper if side > 0 else g.lower)[d] + side * g.eta[d]
+        with pytest.raises(PointOutOfDomain, match=f"dimension {d}"):
+            g.quantize_many(pts)
+        with pytest.raises(PointOutOfDomain, match=f"dimension {d}"):
+            g.quantize(pts[7])
 
 
 class TestInputGrid:
