@@ -16,9 +16,10 @@ exactly when none lies in the complement of S.)  The answer is packed, one
 bit per input, as controller tables are.  The boxed abstraction has two ways
 to answer it over the offsets of its bounded reach neighbourhood:
 neighbourhood words built on a block around the set, whose cost follows the
-block, and the set's predecessors, whose cost follows the number of (member,
-offset) pairs.  It takes the predecessors when there are no more pairs than
-block cells, so a question about a few states costs a few states.
+block cells times the shifted ORs that build a word, and the set's
+predecessors, whose cost follows the number of (member, offset) pairs.  It
+takes the path with less of that work, so a question about a few states costs
+a few states.
 """
 
 from __future__ import annotations
@@ -342,8 +343,10 @@ class BoxedAbstraction:
       heading row and b are p's inputs that reach r through b.  ORing them
       per p, after one sort, gives p's hits.
 
-    `pair_hits` takes the predecessor path when |members| * K is at most the
-    number of cells of the words block, and the words path otherwise.
+    The words path builds each block cell's word with S = sum_d (2R_d + 1)
+    shifted ORs, one per offset along each axis; `pair_hits` takes the
+    predecessor path when |members| * K is at most the number of cells of
+    the words block times S, and the words path otherwise.
     """
 
     def __init__(self, grid: GridSpec, inputs: InputGrid, params: DubinsParams, offsets):
@@ -367,6 +370,7 @@ class BoxedAbstraction:
         shape = np.asarray(grid.shape, dtype=np.int64)
         self.reach_radius = np.minimum(np.abs(offsets).max(axis=(0, 1, 3)),
                                        np.where(grid.periodic, shape // 2, shape - 1))
+        self._word_ors = int(np.sum(2 * self.reach_radius + 1))
         ox, oy, ot = (o.ravel() for o in np.meshgrid(
             *[np.arange(-r, r + 1) for r in self.reach_radius], indexing="ij"))
         lo = offsets[..., 0, None]
@@ -491,17 +495,16 @@ class BoxedAbstraction:
         about.
 
         The answer comes from the predecessors of the removed states when
-        there are no more (state, offset) pairs than cells in the words
-        block, and from neighbourhood words otherwise.  Both paths give the
-        same answer, and the predecessor path never holds more pairs than
-        the words block would hold cells.
+        there are no more (state, offset) pairs than shifted ORs to build
+        the words block (its cells times S), and from neighbourhood words
+        otherwise.  Both paths give the same answer.
         """
         idx = np.flatnonzero(removed) if removed.dtype == bool else removed
         if idx.size == 0:
             return idx, np.zeros((0, len(self._pred_masks)), dtype=np.uint64)
         cells = np.unravel_index(idx, self.grid.shape)
         bx, by, bt = self._word_block(cells[0], cells[1])[-1]
-        if idx.size * self._pred_cols.shape[1] <= bx * by * bt:
+        if idx.size * self._pred_cols.shape[1] <= bx * by * bt * self._word_ors:
             rows, hits = self._scatter_hits(cells, within)
         else:
             rows, hits = self._word_hits(cells, within)

@@ -25,6 +25,7 @@ from .synthesis import (
     SafetySpec,
     StateSet,
     _narrow,
+    _rows,
     controller_equal,
     is_sub_controller,
     safety_control,
@@ -63,10 +64,11 @@ class AtomicShieldBank:
     navigation bank's fence; the others are below it by monotonicity of
     safety games under shrinking safe sets) or, without one, the universe
     controller that allows every input not leaving the grid.  Composition
-    then copies the base once and scatters a few thousand AND updates instead
+    then copies the base once and ANDs in a few thousand whole rows instead
     of streaming every full table.  The diffs of all atomics are concatenated:
-    atomic i owns rows `ptr[i]:ptr[i + 1]` of `idx` (states), `masks` and
-    `defined`.
+    atomic i owns rows `ptr[i]:ptr[i + 1]` of `idx` (states, strictly
+    ascending within each atomic), `masks` and `defined`.  The states of its
+    undefined diff rows are `undefined[uptr[i]:uptr[i + 1]]`.
     """
 
     def __init__(self, sys, safes, base, ptr, idx, masks, defined):
@@ -79,6 +81,10 @@ class AtomicShieldBank:
         self.masks = masks
         self.defined = defined
         self.masks[~defined] = 0  # canonical, so the AND in raw_product clears undefined rows
+        # the states of each atomic's undefined diff rows; searching their
+        # positions for the offsets makes no full-length int64 temporary
+        at = np.flatnonzero(~defined)
+        self.undefined, self.uptr = idx[at], np.searchsorted(at, ptr)
 
     def table(self, i) -> ControllerTable:
         """Materialize the controller of one atomic: its diff rows are
@@ -86,7 +92,12 @@ class AtomicShieldBank:
         return self.raw_product([i])
 
     def raw_product(self, active) -> ControllerTable:
-        """Product of the active atomic controllers, blocking states kept."""
+        """Product of the active atomic controllers, blocking states kept.
+
+        Per active atomic: one gather of the base rows its diff names, one
+        AND with its diff masks, one scatter back (`synthesis._rows`), and
+        its undefined states leave the domain; diffs are sub-controllers of
+        the base, so rows only lose bits and only turn undefined."""
         ids = sorted(set(int(i) for i in active))
         if not ids:
             raise EmptyActiveSet("at least one atomic specification must be active")
@@ -94,16 +105,14 @@ class AtomicShieldBank:
             if i < 0 or i >= self.n_atomics:
                 raise IndexError(f"atomic id {i} out of range")
         tab = self.base.copy()
-        # one 64-bit lane at a time: fancy indexing on 1-D column views costs
-        # about half of the same AND on (rows, words) arrays
-        lanes = [tab.masks[:, w] for w in range(tab.words)]
+        allowed = _rows(tab.masks)
         for i in ids:
-            rows = slice(self.ptr[i], self.ptr[i + 1])
-            idx = self.idx[rows]
-            for w, col in enumerate(lanes):
-                col[idx] &= self.masks[rows, w]
-            # diffs are sub-controllers of the base: rows only turn undefined
-            tab.defined[idx[~self.defined[rows]]] = False
+            a, b = self.ptr[i], self.ptr[i + 1]
+            idx = self.idx[a:b]
+            kept = allowed[idx].view(np.uint64)
+            kept &= self.masks[a:b].reshape(-1)
+            allowed[idx] = kept.view(allowed.dtype)
+            tab.defined[self.undefined[self.uptr[i]:self.uptr[i + 1]]] = False
         return tab
 
 
@@ -241,6 +250,12 @@ def load_bank(path, sys, spot_check=1, rng=None) -> AtomicShieldBank:
         raise ValueError(f"{path}: diff offsets are not monotone from 0 to {k}")
     if k and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"{path}: diff rows outside [0, {n})")
+    # a repeated row would keep only its last mask in the product
+    unordered = idx[1:] <= idx[:-1]
+    starts = ptr[1:-1]
+    unordered[starts[(starts > 0) & (starts < k)] - 1] = False
+    if np.any(unordered):
+        raise ValueError(f"{path}: diff rows of an atomic are not strictly ascending")
     base = ControllerTable(n, sys.n_inputs, np.unpackbits(a["base_defined"], count=n).view(bool), a["base_masks"])
     # one array per safe set, as synthesis makes them: one block for all of
     # them raised a fine-preset process's peak resident size by about 35 MB

@@ -12,9 +12,12 @@ outside the shrinking domain it stays disallowed, so each sweep only re-tests
 pairs whose successor box meets the freshly removed cells.
 
 The abstraction answers in the tables' own packing, so hits clear bits
-directly.  A boxed abstraction answers a sweep that removed few states from
-their predecessors and one that removed many from neighbourhood words around
-them (`BoxedAbstraction.pair_hits`).
+directly, and tables move whole rows: `_rows` views each row of words as one
+item, so a sweep's update (and a product's AND in `AtomicShieldBank`) is one
+gather, one AND and one scatter of the rows it touches.  A boxed abstraction
+answers a sweep from the removed states' predecessors or from neighbourhood
+words around them, whichever it estimates to be less work
+(`BoxedAbstraction.pair_hits`).
 """
 
 from __future__ import annotations
@@ -113,19 +116,37 @@ def _unpack_bool(masks, m):
     return np.unpackbits(octets, axis=-1, count=m, bitorder="little").view(bool)
 
 
+def _rows(masks):
+    """A C-contiguous (n, words) uint64 table as n items of `8 * words` bytes,
+    one per row, sharing its memory.  Fancy indexing then moves whole rows:
+    `r[idx].view(np.uint64)` gathers their words, row after row, and
+    `r[idx] = words.view(r.dtype)` scatters them back."""
+    return masks.view(np.dtype((np.void, masks.itemsize * masks.shape[1]))).reshape(len(masks))
+
+
+def _empty_rows(masks):
+    """Rows of a packed table with no bit set, word column by word column:
+    reducing along the short word axis is several times slower."""
+    empty = masks[:, 0] == 0
+    for w in range(1, masks.shape[1]):
+        empty &= masks[:, w] == 0
+    return empty
+
+
 class ControllerTable:
     """Per-state allowed-input sets with an explicit domain.
 
     A state can be undefined (outside the domain) or defined with an empty
     allowed set; products keep such blocking states so the deadlock-removal
-    pass sees them.  Allowed sets are packed into 64-bit words.
+    pass sees them.  Allowed sets are packed into 64-bit words, one
+    C-contiguous row per state, so that `_rows` can move whole rows.
     """
 
     def __init__(self, n_states, n_inputs, defined, masks):
         self.n_states = int(n_states)
         self.n_inputs = int(n_inputs)
         self.defined = np.asarray(defined, dtype=bool)
-        self.masks = np.asarray(masks, dtype=np.uint64)
+        self.masks = np.ascontiguousarray(masks, dtype=np.uint64)
         self.masks[~self.defined] = 0  # canonical: undefined rows carry no bits
 
     @classmethod
@@ -152,12 +173,7 @@ class ControllerTable:
 
     def blocking(self) -> StateSet:
         """Defined states whose allowed set is empty."""
-        # word column by word column: reducing along the short word axis is
-        # about ten times slower
-        empty = self.masks[:, 0] == 0
-        for w in range(1, self.words):
-            empty &= self.masks[:, w] == 0
-        return StateSet(self.defined & empty)
+        return StateSet(self.defined & _empty_rows(self.masks))
 
     def _check(self, other):
         if self.n_states != other.n_states or self.n_inputs != other.n_inputs:
@@ -217,20 +233,20 @@ def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None):
     The callers make two things hold: every row in `removed` is empty, and no
     allowed input is OUT or leads outside the domain except into `removed`.
     Each sweep asks `sys.pair_hits` which inputs reach the states just
-    removed and clears the packed hits it returns from the rows, lane by
-    lane; on a boxed abstraction that test works from those states' region
-    (their predecessors, or neighbourhood words around them), so a sweep's
-    work scales with the removed region, not the grid.  The removed states
-    are an ascending index array, so no sweep touches a full-length array.
-    Hits need no narrowing to allowed inputs (clearing a clear bit does
-    nothing), and a state leaves the domain with an empty row, so no row
-    needs zeroing.
+    removed, gathers the rows it names whole, clears the packed hits in them,
+    scatters them back, and finds the emptied ones in the gathered block; on
+    a boxed abstraction that test works from those states' region (their
+    predecessors, or neighbourhood words around them), so a sweep's work
+    scales with the removed region, not the grid.  The removed states are an
+    ascending index array, so no sweep touches a full-length array.  Hits
+    need no narrowing to allowed inputs (clearing a clear bit does nothing),
+    and a state leaves the domain with an empty row, so no row needs zeroing.
 
     `iteration_sizes` receives the domain size after the first removal and
     after every sweep; the sweep that removes nothing repeats the last size.
     """
     d = table.defined
-    lanes = [table.masks[:, w] for w in range(table.words)]
+    allowed = _rows(table.masks)
     removed = np.flatnonzero(removed)
     d[removed] = False
     if iteration_sizes is not None:
@@ -238,12 +254,10 @@ def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None):
         iteration_sizes.append(size)
     while removed.size:
         rows, hits = sys.pair_hits(removed, within=d)
-        empty = np.ones(len(rows), dtype=bool)
-        for w, col in enumerate(lanes):
-            kept = col[rows] & ~hits[:, w]
-            col[rows] = kept
-            empty &= kept == 0
-        removed = rows[empty]
+        kept = allowed[rows].view(np.uint64)
+        kept &= ~hits.reshape(-1)
+        allowed[rows] = kept.view(allowed.dtype)
+        removed = rows[_empty_rows(kept.reshape(hits.shape))]
         d[removed] = False
         if iteration_sizes is not None:
             size -= removed.size

@@ -570,6 +570,17 @@ def full_hits(sysm, rows, hits):
     return out
 
 
+def record_paths(boxed, monkeypatch):
+    """The list to which each later hit test of `boxed` appends its path's name."""
+    paths = []
+    for name in ("_word_hits", "_scatter_hits"):
+        def counted(*args, _inner=getattr(boxed, name), _name=name):
+            paths.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(boxed, name, counted, raising=False)
+    return paths
+
+
 class TestNeighbourhoodWords:
     """The boxed abstraction's two hit tests, neighbourhood words and
     predecessors, against each other and against the same relation held
@@ -641,16 +652,35 @@ class TestNeighbourhoodWords:
         from parashield.navsim import make_atomics
         boxed, _ = coarse_pair
         cfg = preset_config("coarse")
-        paths = []
-        for name in ("_word_hits", "_scatter_hits"):
-            def counted(*args, _inner=getattr(boxed, name), _name=name):
-                paths.append(_name)
-                return _inner(*args)
-            monkeypatch.setattr(boxed, name, counted, raising=False)
+        paths = record_paths(boxed, monkeypatch)
         sizes = []
         safety_control(boxed, SafetySpec(make_atomics(cfg.grid, cfg.d, cfg.epsilon)[1]), iteration_sizes=sizes)
         assert paths[0] == "_word_hits" and paths[-1] == "_scatter_hits"
         assert len(paths) == len(sizes) - 1
+
+    def test_dispatch_compares_estimated_work(self, coarse_pair, monkeypatch):
+        # one full x-y column in the middle of the grid: more (state, offset)
+        # pairs than words-block cells B, but fewer than B times the S
+        # shifted ORs that build each word, so the predecessors answer; the
+        # whole grid has more pairs than B * S and is answered by words
+        boxed, _ = coarse_pair
+        nx, ny, nt = boxed.grid.shape
+        k = boxed._pred_cols.shape[1]
+        s = int(np.sum(2 * boxed.reach_radius + 1))
+        assert (k, s) == (45, 11)
+        paths = record_paths(boxed, monkeypatch)
+        column = np.zeros(boxed.grid.shape, dtype=bool)
+        column[nx // 2, ny // 2] = True
+        for removed, path in ((column.reshape(-1), "_scatter_hits"),
+                              (np.ones(boxed.n_states, dtype=bool), "_word_hits")):
+            cells = np.unravel_index(np.flatnonzero(removed), boxed.grid.shape)
+            bx, by, bt = boxed._word_block(cells[0], cells[1])[-1]
+            pairs = np.count_nonzero(removed) * k
+            assert pairs > bx * by * bt
+            assert (pairs <= bx * by * bt * s) == (path == "_scatter_hits")
+            paths.clear()
+            boxed.pair_hits(removed)
+            assert paths == [path]
 
 
 class TestPackedHits:

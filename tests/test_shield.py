@@ -24,9 +24,12 @@ from parashield.shield import (
 from parashield.synthesis import (
     ControllerTable,
     SafetySpec,
+    StateSet,
+    _narrow,
     closure_holds,
     controller_equal,
     safety_control,
+    universe_controller,
 )
 
 
@@ -52,7 +55,6 @@ class TestSynthesizeBank:
 
     def test_universe_atomic_is_all_permissive(self, automaton7):
         sysm, _, _ = automaton7
-        from parashield.synthesis import StateSet
         bank = synthesize_bank(sysm, [StateSet.full(7)])
         t = bank.table(0)
         assert t.domain_size() == 7
@@ -118,11 +120,12 @@ class TestCompose:
             assert controller_equal(sh.table, safety_control(sysm, SafetySpec(safe)))
 
     def test_equals_direct_synthesis_over_several_words(self, rng):
-        # 65 and 130 inputs take 2 and 3 words per allowed set; each state's
-        # inputs lead into the same few neighbours, so two atomics often
-        # allow disjoint inputs there and the raw product has blocking states
+        # 64, 65 and 130 inputs take 1, 2 and 3 words (rows of 8, 16 and 24
+        # bytes) per allowed set; each state's inputs lead into the same few
+        # neighbours, so two atomics often allow disjoint inputs there and
+        # the raw product has blocking states
         blocking = upper_lane_repairs = 0
-        for m in (65, 130):
+        for m in (64, 65, 130):
             for _ in range(5):
                 sysm = neighbour_system(rng, 40, m)
                 atomics = [random_state_set(rng, sysm.n_states) for _ in range(3)]
@@ -152,6 +155,45 @@ class TestCompose:
             assert controller_equal(dirty.table(i), bank.table(i))
         assert controller_equal(compose(dirty, range(3)).table, compose(bank, range(3)).table)
 
+    def test_diffs_of_two_atomics_on_one_row_are_anded(self, rng):
+        # atomic 0 narrows rows 3 and 5, atomic 1 rows 5 and 9 (9 turns
+        # undefined); row 5 of the product holds the AND of both diffs
+        sysm = neighbour_system(rng, 12, 70)
+        base = universe_controller(sysm)
+        sub = base.masks[[3, 5, 5, 9]] & rng.integers(0, 2 ** 64, size=(4, 2), dtype=np.uint64)
+        assert not np.array_equal(sub[1], sub[2])
+        safes = [StateSet.full(12), StateSet.full(12)]
+        bank = AtomicShieldBank(sysm, safes, base, np.array([0, 2, 4]), np.array([3, 5, 5, 9]), sub.copy(),
+                                np.array([True, True, True, False]))
+        raw = bank.raw_product([0, 1])
+        expect = base.masks.copy()
+        expect[3], expect[5], expect[9] = sub[0], sub[1] & sub[2], 0
+        assert np.array_equal(raw.masks, expect)
+        assert np.array_equal(raw.defined, np.arange(12) != 9)
+        assert np.array_equal(bank.table(0).masks[5], sub[1]) and np.array_equal(bank.table(1).masks[5], sub[2])
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    def test_base_from_a_non_contiguous_array(self, rng, layout):
+        # tables store their rows C-contiguous, as the whole-row views need
+        sysm = neighbour_system(rng, 40, 70)
+        bank = synthesize_bank(sysm, [random_state_set(rng, sysm.n_states) for _ in range(3)])
+        if layout == "fortran":
+            masks = np.asfortranarray(bank.base.masks)
+        else:
+            masks = np.zeros((sysm.n_states, 2 * bank.base.words), dtype=np.uint64)[:, ::2]
+            masks[:] = bank.base.masks
+        assert not masks.flags.c_contiguous
+        base = ControllerTable(sysm.n_states, sysm.n_inputs, bank.base.defined.copy(), masks)
+        assert base.masks.flags.c_contiguous
+        other = AtomicShieldBank(sysm, bank.safes, base, bank.ptr, bank.idx, bank.masks, bank.defined)
+        assert controller_equal(compose(other, range(3)).table, compose(bank, range(3)).table)
+        # the narrowing loop updates the rows of the table it is given: from
+        # the universe base narrowed to atomic 0's safe set, as synthesis
+        # does, both layouts reach atomic 0's table
+        for table in (base, bank.base.copy()):
+            table.masks[~bank.safes[0].mask] = 0
+            assert controller_equal(_narrow(sysm, table, table.blocking().mask), bank.table(0))
+
     def test_order_independence(self, rng):
         sysm = random_system(rng)
         atomics = [random_state_set(rng, sysm.n_states) for _ in range(4)]
@@ -170,7 +212,6 @@ class TestPureOnline:
 
     def test_universe_all_permissive(self, automaton7):
         sysm, _, _ = automaton7
-        from parashield.synthesis import StateSet
         sh = pure_online_shield(sysm, [StateSet.full(7)])
         assert sh.table.domain_size() == 7
 
@@ -338,6 +379,14 @@ def _idx_out_of_range(m, n):
     return {"idx": idx}
 
 
+def _idx_repeated(m, n):
+    # the second diff row of atomic 0 names its first row again
+    assert m["ptr"][1] >= 2
+    idx = m["idx"].copy()
+    idx[1] = idx[0]
+    return {"idx": idx}
+
+
 class TestMalformedBank:
     """Every damaged or foreign container is a ValueError, so a cache can
     tell it from a program error and rebuild the file."""
@@ -360,10 +409,11 @@ class TestMalformedBank:
         _shifted_ptr,
         _short_ptr,
         _idx_out_of_range,
+        _idx_repeated,
         lambda m, n: {"masks": np.hstack([m["masks"], m["masks"]])},
         lambda m, n: {"masks": m["masks"].astype(np.int64)},
     ], ids=["missing-member", "wrong-kind", "wrong-version", "ptr-not-monotone",
-            "ptr-not-ending-at-idx", "idx-out-of-range", "mask-width", "mask-dtype"])
+            "ptr-not-ending-at-idx", "idx-out-of-range", "idx-repeated", "mask-width", "mask-dtype"])
     def test_bad_contents(self, bank_file, change):
         sysm, path = bank_file
         members = _members(path)
