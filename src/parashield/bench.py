@@ -112,14 +112,16 @@ def _source_digest():
     return h.hexdigest()
 
 
-def build_runtime(preset, cache_dir=None) -> NavRuntime:
+def build_runtime(preset, cache_dir=None, with_bank=True) -> NavRuntime:
     """Abstraction plus atomic-shield bank for one grid preset.
 
     With a `cache_dir`, the bank is loaded from the file keyed by preset,
     content hash and source digest there; a file that fails to load is
     rebuilt, and a freshly synthesized bank is written there atomically.
     Writing one deletes the preset's banks cached under other keys, which no
-    build of these sources reads.
+    build of these sources reads.  Without `with_bank` the runtime's bank is
+    None and nothing is synthesized, loaded or written: enough for an
+    unshielded episode in a given world.
     """
     cfg = preset_config(preset)
     t0 = time.perf_counter()
@@ -127,14 +129,14 @@ def build_runtime(preset, cache_dir=None) -> NavRuntime:
     t1 = time.perf_counter()
     atomics = make_atomics(cfg.grid, cfg.d, cfg.epsilon)
     bank = path = None
-    if cache_dir is not None:
+    if with_bank and cache_dir is not None:
         path = Path(cache_dir) / f"bank_{preset}_{sys.content_hash[:16]}_{_source_digest()[:16]}.pshb"
         if path.exists():
             try:
                 bank = load_bank(path, sys)
             except ValueError:    # malformed, or AbstractionMismatch
                 path.unlink()
-    if bank is None:
+    if with_bank and bank is None:
         bank = synthesize_bank(sys, atomics, base_id=0)
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)

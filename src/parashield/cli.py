@@ -74,7 +74,10 @@ def cmd_synth_bank(args):
 
 def cmd_run(args):
     out = _out_dir(args)
-    rt = bench_mod.build_runtime(args.grid_preset, cache_dir=out)
+    # an unshielded episode reads no bank; choosing its world without a file
+    # (`feasible_world`) composes with one
+    with_bank = args.mode != "unshielded" or not args.world
+    rt = bench_mod.build_runtime(args.grid_preset, cache_dir=out, with_bank=with_bank)
     if args.world:
         world = load_world(args.world)
     else:

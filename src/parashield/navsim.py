@@ -274,13 +274,14 @@ def scripted_controller(pose, goal, cfg: SensingConfig):
 @dataclass
 class NavRuntime:
     """Everything the episode loop needs for one shield configuration, as
-    assembled by `parashield.bench.build_runtime`."""
+    assembled by `parashield.bench.build_runtime`; `bank` is None when it was
+    built without one, for an unshielded episode."""
 
     cfg: SensingConfig
     sys: BoxedAbstraction
     layout: ColumnLayout
     atomics: list
-    bank: AtomicShieldBank
+    bank: AtomicShieldBank | None
     abstraction_seconds: float
     bank_seconds: float    # synthesis, or loading when the bank was cached
 

@@ -132,26 +132,51 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     The base is the controller of atomic `base_id`, or the universe
     controller without one.  Every run whose safe set is a subset of the
     base's starts from the base's fixed point (shorter descent, same result;
-    from the universe controller it is exactly the cold start).  Each table
-    is reduced to its diff against the base as soon as it is synthesized, so
-    at most one full table is alive at a time.  Progress goes to this
-    module's logger: one DEBUG record per atomic, whose `atomic`, `atomics`
-    and `diff_rows` attributes give its index, the total and its diff size.
+    from the universe controller it is exactly the cold start), on one work
+    copy of the base shared by all of them: its states that are unsafe or
+    have no input leave the domain, `_narrow` runs from there and records the
+    rows it writes, the rows among those that differ from the base are the
+    diff, and copying them back from the base restores the work table.  Such
+    a run costs in proportion to the rows it touches, not to the grid, and
+    only the base and the work table are alive.  Any other run is a cold
+    synthesis reduced by `_delta`.  Progress goes to this module's logger:
+    one DEBUG record per atomic, whose `atomic`, `atomics` and `diff_rows`
+    attributes give its index, the total and its diff size.
     """
     atomics = list(atomics)
     if base_id is None:
         base = universe_controller(sys)
-        base_safe = np.ones(sys.n_states, dtype=bool)
+        base_unsafe = np.zeros(sys.n_states, dtype=bool)
     else:
         base = safety_control(sys, SafetySpec(atomics[base_id]))
-        base_safe = atomics[base_id].mask
+        base_unsafe = ~atomics[base_id].mask
+    work = base.copy()
+    base_rows, work_rows = _rows(base.masks), _rows(work.masks)
+    blocking = base.blocking().mask
+
+    def warm_delta(i, safe):
+        touched = []
+        _narrow(sys, work, base.defined & ~safe | blocking, touched=touched)
+        # several sweeps can write one row; the diff lists it once, ascending
+        rows = np.sort(np.concatenate(touched))
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        rows = rows[first]
+        now, was = work_rows[rows], base_rows[rows]
+        changed = (work.defined[rows] != base.defined[rows]) | (now != was)
+        rows, now, was = rows[changed], now[changed], was[changed]
+        defined = work.defined[rows]
+        if np.any(defined & ~base.defined[rows]) or np.any(now.view(np.uint64) & ~was.view(np.uint64)):
+            raise ValueError(f"atomic {i} is not a sub-controller of the base; delta storage is invalid")
+        work_rows[rows], work.defined[rows] = was, base.defined[rows]
+        return rows, now.view(np.uint64).reshape(len(rows), base.words), defined
 
     def synth_delta(i):
-        if i == base_id:
-            diff = _delta(base, base, i)
+        safe = atomics[i].mask
+        if np.any(safe & base_unsafe):
+            diff = _delta(base, safety_control(sys, SafetySpec(atomics[i])), i)
         else:
-            warm = base if not np.any(atomics[i].mask & ~base_safe) else None
-            diff = _delta(base, safety_control(sys, SafetySpec(atomics[i]), warm_start=warm), i)
+            diff = warm_delta(i, safe)
         logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), len(diff[0]),
                      extra={"atomic": i, "atomics": len(atomics), "diff_rows": len(diff[0])})
         return diff

@@ -6,10 +6,13 @@ domain, asks the abstraction its one bulk question, "which pairs have a
 successor in this set", about the states just dropped, clears those inputs
 and drops the rows that emptied, until no row empties.  Synthesis starts it
 from the universe controller (or a warm start) narrowed to the safe set,
-nonblocking pruning from a product's undefined and blocking states, and
-`compose` from a raw product's blocking states.  Once a pair has a successor
-outside the shrinking domain it stays disallowed, so each sweep only re-tests
-pairs whose successor box meets the freshly removed cells.
+bank synthesis from a shared work copy of the base narrowed to each atomic's
+safe set (the loop reports the rows it writes, so the diff and the restore
+cost what the atomic changes), nonblocking pruning from a product's undefined
+and blocking states, and `compose` from a raw product's blocking states.
+Once a pair has a successor outside the shrinking domain it stays
+disallowed, so each sweep only re-tests pairs whose successor box meets the
+freshly removed cells.
 
 The abstraction answers in the tables' own packing, so hits clear bits
 directly, and tables move whole rows: `_rows` views each row of words as one
@@ -225,30 +228,35 @@ def universe_controller(sys) -> ControllerTable:
     return sys._universe.copy()
 
 
-def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None):
+def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None, touched=None):
     """Greatest fixed point below `table` once the states of the mask
-    `removed` leave its domain, in place: inputs with a successor outside the
-    domain are cleared, and states left with no input leave it in turn.
+    `removed` leave its domain, in place: their rows are cleared, inputs with
+    a successor outside the domain are cleared, and states left with no input
+    leave it in turn.
 
-    The callers make two things hold: every row in `removed` is empty, and no
-    allowed input is OUT or leads outside the domain except into `removed`.
-    Each sweep asks `sys.pair_hits` which inputs reach the states just
-    removed, gathers the rows it names whole, clears the packed hits in them,
-    scatters them back, and finds the emptied ones in the gathered block; on
-    a boxed abstraction that test works from those states' region (their
-    predecessors, or neighbourhood words around them), so a sweep's work
-    scales with the removed region, not the grid.  The removed states are an
-    ascending index array, so no sweep touches a full-length array.  Hits
-    need no narrowing to allowed inputs (clearing a clear bit does nothing),
-    and a state leaves the domain with an empty row, so no row needs zeroing.
+    The callers make sure that no allowed input is OUT or leads outside the
+    domain except into `removed`.  Each sweep asks `sys.pair_hits` which
+    inputs reach the states just removed, gathers the rows it names whole,
+    clears the packed hits in them, scatters them back, and finds the emptied
+    ones in the gathered block; on a boxed abstraction that test works from
+    those states' region (their predecessors, or neighbourhood words around
+    them), so a sweep's work scales with the removed region, not the grid.
+    The removed states are an ascending index array, so no sweep touches a
+    full-length array.  Hits need no narrowing to allowed inputs (clearing a
+    clear bit does nothing), and a state leaves the domain with an empty row.
 
     `iteration_sizes` receives the domain size after the first removal and
     after every sweep; the sweep that removes nothing repeats the last size.
+    `touched` receives the index arrays of every row written: `removed`,
+    then each sweep's `rows`.  Outside them the table is as it was given.
     """
     d = table.defined
     allowed = _rows(table.masks)
     removed = np.flatnonzero(removed)
+    table.masks[removed] = 0
     d[removed] = False
+    if touched is not None:
+        touched.append(removed)
     if iteration_sizes is not None:
         size = int(np.count_nonzero(d))
         iteration_sizes.append(size)
@@ -259,6 +267,8 @@ def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None):
         allowed[rows] = kept.view(allowed.dtype)
         removed = rows[_empty_rows(kept.reshape(hits.shape))]
         d[removed] = False
+        if touched is not None:
+            touched.append(rows)
         if iteration_sizes is not None:
             size -= removed.size
             iteration_sizes.append(size)
@@ -282,10 +292,8 @@ def safety_control(sys, spec: SafetySpec, iteration_sizes=None, warm_start=None)
     """
     _check_universe(sys, spec.safe)
     table = universe_controller(sys) if warm_start is None else warm_start.copy()
-    # with the unsafe rows zeroed, the blocking states are the start's unsafe
-    # states plus its states without an input
-    table.masks[~spec.safe.mask] = 0
-    return _narrow(sys, table, table.blocking().mask, iteration_sizes)
+    # the start's unsafe states leave, and so do its states without an input
+    return _narrow(sys, table, table.defined & ~spec.safe.mask | table.blocking().mask, iteration_sizes)
 
 
 def product(c1: ControllerTable, c2: ControllerTable) -> ControllerTable:

@@ -146,6 +146,25 @@ class TestCli:
         assert cli_main(argv) == 0
         assert len(calls) == 2 and bank.stat().st_size == size
 
+    def test_unshielded_run_in_a_world_file_needs_no_bank(self, tmp_path, monkeypatch):
+        import parashield.bench as bench_mod
+        from parashield.navsim import random_world, save_world
+        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
+
+        def no_bank(*args, **kwargs):
+            raise AssertionError("an unshielded episode reads no bank")
+
+        monkeypatch.setattr(bench_mod, "synthesize_bank", no_bank)
+        monkeypatch.setattr(bench_mod, "load_bank", no_bank)
+        world = tmp_path / "world.txt"
+        save_world(random_world(5, WorldParams()), world)
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--grid-preset", "coarse", "--seed", "4", "--mode", "unshielded",
+                       "--world", str(world), "--max-steps", "10", "--out", str(out)])
+        assert rc in (0, 1)  # unshielded may collide
+        assert len(list(out.glob("trace_unshielded_4.csv"))) == 1
+        assert not list(out.glob("*.pshb*"))
+
     def test_out_env_overrides_flag(self, tmp_path, monkeypatch, capsys):
         override = tmp_path / "env_out"
         monkeypatch.setenv("PARASHIELD_OUT", str(override))

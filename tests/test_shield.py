@@ -41,6 +41,16 @@ def neighbour_system(rng, n, m, n_near=3):
     return ExplicitAbstraction(n, m, np.arange(0, 2 * n * m + 1, 2), succ.reshape(-1), np.zeros(n * m, dtype=bool))
 
 
+def bank_diffs(bank):
+    """Each atomic's stored (rows, masks, defined)."""
+    return [(bank.idx[a:b], bank.masks[a:b], bank.defined[a:b]) for a, b in zip(bank.ptr[:-1], bank.ptr[1:])]
+
+
+def assert_same_diff(d1, d2):
+    for x, y in zip(d1, d2):
+        assert np.array_equal(x, y)
+
+
 @pytest.fixture
 def automaton7_bank(automaton7):
     sysm, g, h = automaton7
@@ -72,6 +82,47 @@ class TestSynthesizeBank:
             cold = safety_control(sysm, SafetySpec(atomics[i]))
             assert controller_equal(universe.table(i), cold)
             assert controller_equal(fence.table(i), cold)
+
+    def test_diffs_do_not_depend_on_atomic_order(self, rng):
+        # every atomic is synthesized on one work copy of the base; a row it
+        # left unrestored would change the diffs of the atomics after it
+        for trial in range(20):
+            sysm = random_system(rng, max_states=40)
+            n = sysm.n_states
+            base = random_state_set(rng, n, density=0.95)
+            # the base's own safe set (empty diff) and one removing every state
+            atomics = [base, StateSet(base.mask.copy()), StateSet.empty(n)]
+            if trial % 2:
+                base_id = None
+                atomics += [random_state_set(rng, n) for _ in range(5)]
+            else:
+                base_id = 0
+                atomics += [base & random_state_set(rng, n) for _ in range(5)]
+            bank = synthesize_bank(sysm, atomics, base_id=base_id)
+            order = rng.permutation(len(atomics))
+            other = synthesize_bank(sysm, [atomics[i] for i in order],
+                                    base_id=None if base_id is None else int(np.flatnonzero(order == 0)[0]))
+            assert controller_equal(bank.base, other.base)
+            diffs = bank_diffs(bank)
+            for k, d in enumerate(bank_diffs(other)):
+                assert_same_diff(diffs[order[k]], d)
+            if base_id == 0:
+                assert len(diffs[0][0]) == len(diffs[1][0]) == 0
+            rows, masks, defined = diffs[2]
+            assert np.array_equal(rows, np.flatnonzero(bank.base.defined))
+            assert not np.any(defined) and not np.any(masks)
+            for i in range(len(atomics)):
+                assert controller_equal(bank.table(i), safety_control(sysm, SafetySpec(atomics[i])))
+
+    def test_coarse_diffs_do_not_depend_on_atomic_order(self, coarse_rt, rng):
+        full = bank_diffs(coarse_rt.bank)
+        ids = [0] + sorted(int(i) for i in rng.choice(np.arange(1, len(full)), size=24, replace=False))
+        order = rng.permutation(len(ids))
+        bank = synthesize_bank(coarse_rt.sys, [coarse_rt.atomics[ids[k]] for k in order],
+                               base_id=int(np.flatnonzero(order == 0)[0]))
+        assert controller_equal(bank.base, coarse_rt.bank.base)
+        for k, d in enumerate(bank_diffs(bank)):
+            assert_same_diff(full[ids[order[k]]], d)
 
     def test_logs_one_record_per_atomic(self, rng, caplog):
         sysm = random_system(rng, max_states=40)

@@ -17,6 +17,7 @@ from parashield.synthesis import (
     ControllerTable,
     SafetySpec,
     StateSet,
+    _narrow,
     _pack_bool,
     _unpack_bool,
     closure_holds,
@@ -168,6 +169,28 @@ class TestSafetyControlProperties:
             warm = safety_control(sysm, SafetySpec(small), warm_start=base)
             cold = safety_control(sysm, SafetySpec(small))
             assert controller_equal(warm, cold)
+
+
+class TestNarrowTouchedRows:
+    def test_cover_every_changed_row(self, rng):
+        for trial in range(60):
+            sysm = random_system(rng)
+            # cold starts from the universe controller, warm ones from a
+            # safety controller
+            if trial % 2:
+                start = universe_controller(sysm)
+            else:
+                start = safety_control(sysm, SafetySpec(random_state_set(rng, sysm.n_states, density=0.9)))
+            removed = start.defined & ~random_state_set(rng, sysm.n_states).mask | start.blocking().mask
+            touched = []
+            recorded = _narrow(sysm, start.copy(), removed, touched=touched)
+            assert controller_equal(recorded, _narrow(sysm, start.copy(), removed))
+            assert np.array_equal(touched[0], np.flatnonzero(removed))
+            written = np.zeros(sysm.n_states, dtype=bool)
+            for rows in touched:
+                written[rows] = True
+            changed = (recorded.defined != start.defined) | (recorded.masks != start.masks).any(axis=1)
+            assert not np.any(changed & ~written)
 
 
 class TestUniverseController:
