@@ -11,9 +11,7 @@ from .abstraction import (
     build_abstraction,
     cos_bounds,
     dubins_step,
-    load_abstraction,
     reach_overapprox,
-    save_abstraction,
     sin_bounds,
     wrap_angle,
 )

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import read_artifact, write_artifact
 from .errors import GridMismatch, PointOutOfDomain
 from .synthesis import _pack_bool
 
@@ -111,12 +110,17 @@ class GridSpec:
         Periodic coordinates are wrapped into [lower, upper) first.  Boundary
         points at a cell's upper face belong to the next cell, except the
         box's top face in non-periodic dimensions, which belongs to the last
-        cell.  Raises PointOutOfDomain when the array is not (n, dims) or a
-        non-periodic coordinate falls outside the closed box.
+        cell.  Raises PointOutOfDomain when the array is not (n, dims), a
+        coordinate is NaN or infinite, or a non-periodic coordinate falls
+        outside the closed box.
         """
         p = np.asarray(points, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != self.dims:
             raise PointOutOfDomain(f"points of shape {p.shape} do not have {self.dims} coordinates each")
+        finite = np.isfinite(p)
+        if not finite.all():
+            i, d = (int(k[0]) for k in np.nonzero(~finite))
+            raise PointOutOfDomain(f"coordinate {p[i, d]} is not finite in dimension {d}")
         span = self.upper - self.lower
         w = self.periodic
         # wrap, then subtract: every step's frame cell rests on these roundings
@@ -627,36 +631,3 @@ def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -
     offsets = np.stack([np.floor(lo / eta), np.ceil(hi / eta)], axis=-1).astype(np.int64)
     return BoxedAbstraction(grid, inputs, params, offsets)
 
-
-# -- serialization ----------------------------------------------------------
-
-_ABSTRACTION_DTYPES = {
-    "lower": np.float64, "upper": np.float64, "eta": np.float64, "periodic": bool,
-    "inputs": np.float64, "tau": np.float64, "disturbance": np.float64, "offsets": np.int64,
-}
-
-
-def save_abstraction(sys: BoxedAbstraction, path):
-    """Write what the abstraction is built from: grid, input points, vehicle
-    parameters and the per-(heading row, input) shift table."""
-    g = sys.grid
-    write_artifact(path, "abstraction", sys.content_hash, {
-        "lower": g.lower, "upper": g.upper, "eta": g.eta, "periodic": g.periodic,
-        "inputs": sys.inputs.points, "tau": np.float64(sys.params.tau),
-        "disturbance": sys.params.disturbance.radius, "offsets": sys.offsets,
-    })
-
-
-def load_abstraction(path) -> BoxedAbstraction:
-    """Rebuild an abstraction written by save_abstraction; rejects a file
-    whose contents do not reproduce its stored content hash."""
-    content_hash, a = read_artifact(path, "abstraction", _ABSTRACTION_DTYPES)
-    grid = GridSpec(a["lower"], a["upper"], a["eta"], a["periodic"])
-    inputs = InputGrid(a["inputs"])
-    offsets = a["offsets"]
-    if grid.dims != 3 or offsets.shape != (grid.shape[2], len(inputs), 3, 2):
-        raise ValueError(f"{path}: shift table of shape {offsets.shape} does not fit the grid and inputs")
-    sys = BoxedAbstraction(grid, inputs, DubinsParams(float(a["tau"]), DisturbanceBox(a["disturbance"])), offsets)
-    if sys.content_hash != content_hash:
-        raise ValueError(f"{path}: contents do not match the stored content hash")
-    return sys

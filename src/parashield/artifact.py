@@ -1,4 +1,4 @@
-"""The one on-disk container for banks and abstractions.
+"""The on-disk container of atomic-shield banks.
 
 An artifact is an uncompressed `np.savez` archive: its kind, a format
 version, the content hash of the abstraction it belongs to, and a fixed set of

@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Subcommands: abstract (build + serialize the abstraction), synth-bank (offline
-phase with timing split), run (single episode to a trace CSV), bench (full
-timing protocol to a results CSV), verify-oracle (randomized equivalence
-suite), query (one shield decision).  Exit status 0 on success, 2 on any
-domain error, with a one-line diagnostic.
+Subcommands: synth-bank (offline phase with timing split), run (single
+episode to a trace CSV), bench (full timing protocol to a results CSV),
+verify-oracle (randomized equivalence suite), query (one shield decision).
+Exit status 0 on success, 2 on any domain error, with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import time
 import numpy as np
 
 from . import bench as bench_mod
-from .abstraction import build_abstraction, save_abstraction
+from .abstraction import build_abstraction
 from .errors import (
     AbstractionMismatch,
     DomainViolation,
@@ -50,18 +49,6 @@ def _out_dir(args):
     return out
 
 
-def cmd_abstract(args):
-    out = _out_dir(args)
-    rt_cfg = bench_mod.preset_config(args.grid_preset)
-    t0 = time.perf_counter()
-    sysm = build_abstraction(rt_cfg.grid, rt_cfg.inputs, rt_cfg.params)
-    dt = time.perf_counter() - t0
-    path = os.path.join(out, f"abstraction_{args.grid_preset}.pshd")
-    save_abstraction(sysm, path)
-    print(f"Abstraction: {dt:.2f} s ({sysm.n_states} states x {sysm.n_inputs} inputs) -> {path}")
-    return 0
-
-
 def cmd_synth_bank(args):
     out = _out_dir(args)
     rt = bench_mod.build_runtime(args.grid_preset)
@@ -74,13 +61,13 @@ def cmd_synth_bank(args):
 
 def cmd_run(args):
     out = _out_dir(args)
-    # an unshielded episode reads no bank; choosing its world without a file
+    # a bad world file is refused before any bank is built; an unshielded
+    # episode reads no bank, but choosing its world without a file
     # (`feasible_world`) composes with one
-    with_bank = args.mode != "unshielded" or not args.world
+    world = load_world(args.world) if args.world else None
+    with_bank = args.mode != "unshielded" or world is None
     rt = bench_mod.build_runtime(args.grid_preset, cache_dir=out, with_bank=with_bank)
-    if args.world:
-        world = load_world(args.world)
-    else:
+    if world is None:
         world = feasible_world(rt, args.seed + 1, WorldParams())
     trace = run_episode(world, rt, mode=args.mode, seed=args.seed, max_steps=args.max_steps)
     path = os.path.join(out, f"trace_{args.mode}_{args.seed}.csv")
@@ -96,7 +83,7 @@ def cmd_bench(args):
         preset=args.grid_preset, instances=args.instances, seed=args.seed,
         max_steps=args.max_steps,
     )
-    rows, _ = bench_mod.run_bench(cfg, bench_mod.build_runtime(args.grid_preset, cache_dir=out))
+    rows = bench_mod.run_bench(cfg, bench_mod.build_runtime(args.grid_preset, cache_dir=out))
     path = os.path.join(out, f"results_{args.grid_preset}.csv")
     bench_mod.emit_results(rows, path)
     unsafe = sum(1 for r in rows if not r.safe)
@@ -136,10 +123,6 @@ def make_parser():
     p = argparse.ArgumentParser(prog="parashield",
                                 description="dynamic safety shields over grid abstractions")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("abstract", help="build and serialize the abstraction")
-    _add_common(pa)
-    pa.set_defaults(fn=cmd_abstract)
 
     ps = sub.add_parser("synth-bank", help="offline phase: synthesize the atomic-shield bank")
     _add_common(ps)

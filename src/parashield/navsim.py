@@ -77,6 +77,8 @@ def load_world(path) -> WorldMap:
                 raise ValueError(f"{path}:{lineno}: unknown record {kind!r}")
             if len(nums) != want:
                 raise ValueError(f"{path}:{lineno}: {kind!r} needs {want} fields, got {len(nums)}")
+            if not np.all(np.isfinite(nums)):
+                raise ValueError(f"{path}:{lineno}: non-finite number in {kind!r} record")
             if kind == "bounds":
                 bounds = nums
             elif kind == "obstacle":

@@ -24,10 +24,10 @@ from .synthesis import (
     ControllerTable,
     SafetySpec,
     StateSet,
+    _empty_rows,
     _narrow,
     _rows,
     controller_equal,
-    is_sub_controller,
     safety_control,
     universe_controller,
 )
@@ -52,9 +52,6 @@ class Shield:
         self.table = table
         self.inputs = inputs
 
-    def domain(self) -> StateSet:
-        return self.table.domain()
-
 
 class AtomicShieldBank:
     """One maximally permissive controller per atomic safe set.
@@ -67,11 +64,12 @@ class AtomicShieldBank:
     then copies the base once and ANDs in a few thousand whole rows instead
     of streaming every full table.  The diffs of all atomics are concatenated:
     atomic i owns rows `ptr[i]:ptr[i + 1]` of `idx` (states, strictly
-    ascending within each atomic), `masks` and `defined`.  The states of its
-    undefined diff rows are `undefined[uptr[i]:uptr[i + 1]]`.
+    ascending within each atomic) and `masks`.  Atomic tables are nonblocking
+    on their domains, so a diff row leaves the domain exactly when its mask
+    is empty; the states of those rows are `undefined[uptr[i]:uptr[i + 1]]`.
     """
 
-    def __init__(self, sys, safes, base, ptr, idx, masks, defined):
+    def __init__(self, sys, safes, base, ptr, idx, masks):
         self.sys = sys
         self.safes = list(safes)
         self.n_atomics = len(self.safes)
@@ -79,11 +77,9 @@ class AtomicShieldBank:
         self.ptr = ptr
         self.idx = idx
         self.masks = masks
-        self.defined = defined
-        self.masks[~defined] = 0  # canonical, so the AND in raw_product clears undefined rows
-        # the states of each atomic's undefined diff rows; searching their
-        # positions for the offsets makes no full-length int64 temporary
-        at = np.flatnonzero(~defined)
+        # searching the empty rows' positions for the offsets makes no
+        # full-length int64 temporary
+        at = np.flatnonzero(_empty_rows(masks))
         self.undefined, self.uptr = idx[at], np.searchsorted(at, ptr)
 
     def table(self, i) -> ControllerTable:
@@ -116,47 +112,37 @@ class AtomicShieldBank:
         return tab
 
 
-def _delta(base: ControllerTable, tab: ControllerTable, i):
-    """Sparse diff of a sub-controller of `base`: (rows, masks, defined) of
-    the rows that differ."""
-    if not is_sub_controller(tab, base):
-        raise ValueError(f"atomic {i} is not a sub-controller of the base; delta storage is invalid")
-    diff = (tab.defined != base.defined) | (tab.masks != base.masks).any(axis=1)
-    idx = np.nonzero(diff)[0].astype(np.int64)
-    return idx, tab.masks[idx].copy(), tab.defined[idx].copy()
-
-
 def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     """Offline phase: one safety-controller synthesis per atomic safe set.
 
     The base is the controller of atomic `base_id`, or the universe
-    controller without one.  Every run whose safe set is a subset of the
-    base's starts from the base's fixed point (shorter descent, same result;
-    from the universe controller it is exactly the cold start), on one work
-    copy of the base shared by all of them: its states that are unsafe or
-    have no input leave the domain, `_narrow` runs from there and records the
-    rows it writes, the rows among those that differ from the base are the
-    diff, and copying them back from the base restores the work table.  Such
-    a run costs in proportion to the rows it touches, not to the grid, and
-    only the base and the work table are alive.  Any other run is a cold
-    synthesis reduced by `_delta`.  Progress goes to this module's logger:
-    one DEBUG record per atomic, whose `atomic`, `atomics` and `diff_rows`
-    attributes give its index, the total and its diff size.
+    controller without one.  Every safe set must lie inside the base's (a
+    ValueError naming the first atomic that leaves it is raised before
+    anything is synthesized), so every run starts from the base's fixed
+    point (shorter descent, same result; from the universe controller it is
+    exactly the cold start) and its table is a sub-controller of the base.
+    All runs share one work copy of the base: its states that are unsafe or
+    have no input leave the domain, `_narrow` runs from there and records
+    the rows it writes, the rows among those that differ from the base are
+    the diff, and copying them back from the base restores the work table.
+    A run costs in proportion to the rows it touches, not to the grid, and
+    only the base and the work table are alive.  Progress goes to this
+    module's logger: one DEBUG record per atomic, whose `atomic`, `atomics`
+    and `diff_rows` attributes give its index, the total and its diff size.
     """
     atomics = list(atomics)
-    if base_id is None:
-        base = universe_controller(sys)
-        base_unsafe = np.zeros(sys.n_states, dtype=bool)
-    else:
-        base = safety_control(sys, SafetySpec(atomics[base_id]))
-        base_unsafe = ~atomics[base_id].mask
+    if base_id is not None:
+        for i, safe in enumerate(atomics):
+            if not safe <= atomics[base_id]:
+                raise ValueError(f"atomic {i}'s safe set leaves that of base atomic {base_id}")
+    base = universe_controller(sys) if base_id is None else safety_control(sys, SafetySpec(atomics[base_id]))
     work = base.copy()
     base_rows, work_rows = _rows(base.masks), _rows(work.masks)
     blocking = base.blocking().mask
 
-    def warm_delta(i, safe):
+    def warm_delta(i):
         touched = []
-        _narrow(sys, work, base.defined & ~safe | blocking, touched=touched)
+        _narrow(sys, work, base.defined & ~atomics[i].mask | blocking, touched=touched)
         # several sweeps can write one row; the diff lists it once, ascending
         rows = np.sort(np.concatenate(touched))
         first = np.ones(rows.size, dtype=bool)
@@ -165,26 +151,17 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
         now, was = work_rows[rows], base_rows[rows]
         changed = (work.defined[rows] != base.defined[rows]) | (now != was)
         rows, now, was = rows[changed], now[changed], was[changed]
-        defined = work.defined[rows]
-        if np.any(defined & ~base.defined[rows]) or np.any(now.view(np.uint64) & ~was.view(np.uint64)):
+        if np.any(work.defined[rows] & ~base.defined[rows]) or np.any(now.view(np.uint64) & ~was.view(np.uint64)):
             raise ValueError(f"atomic {i} is not a sub-controller of the base; delta storage is invalid")
         work_rows[rows], work.defined[rows] = was, base.defined[rows]
-        return rows, now.view(np.uint64).reshape(len(rows), base.words), defined
+        logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), len(rows),
+                     extra={"atomic": i, "atomics": len(atomics), "diff_rows": len(rows)})
+        return rows, now.view(np.uint64).reshape(len(rows), base.words)
 
-    def synth_delta(i):
-        safe = atomics[i].mask
-        if np.any(safe & base_unsafe):
-            diff = _delta(base, safety_control(sys, SafetySpec(atomics[i])), i)
-        else:
-            diff = warm_delta(i, safe)
-        logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), len(diff[0]),
-                     extra={"atomic": i, "atomics": len(atomics), "diff_rows": len(diff[0])})
-        return diff
-
-    diffs = [synth_delta(i) for i in range(len(atomics))]
-    ptr = np.cumsum([0] + [len(d[0]) for d in diffs], dtype=np.int64)
-    idx, masks, defined = (np.concatenate(parts) for parts in zip(*diffs))
-    return AtomicShieldBank(sys, atomics, base, ptr, idx, masks, defined)
+    diffs = [warm_delta(i) for i in range(len(atomics))]
+    ptr = np.cumsum([0] + [len(rows) for rows, _ in diffs], dtype=np.int64)
+    idx, masks = (np.concatenate(parts) for parts in zip(*diffs))
+    return AtomicShieldBank(sys, atomics, base, ptr, idx, masks)
 
 
 def compose(bank: AtomicShieldBank, active) -> Shield:
@@ -237,7 +214,7 @@ def shield_apply(shield: Shield, cell, proposed) -> ShieldDecision:
 
 _BANK_DTYPES = {
     "safes": np.uint8, "base_defined": np.uint8, "base_masks": np.uint64,
-    "ptr": np.int64, "idx": np.int64, "masks": np.uint64, "defined": np.uint8,
+    "ptr": np.int64, "idx": np.int64, "masks": np.uint64,
 }
 
 
@@ -251,11 +228,10 @@ def save_bank(bank: AtomicShieldBank, path):
         "ptr": bank.ptr,
         "idx": bank.idx,
         "masks": bank.masks,
-        "defined": np.packbits(bank.defined),
     })
 
 
-def load_bank(path, sys, spot_check=1, rng=None) -> AtomicShieldBank:
+def load_bank(path, sys, spot_check=1) -> AtomicShieldBank:
     """Load a bank; rejects the wrong abstraction (AbstractionMismatch) and
     malformed contents (ValueError), and checks `spot_check` tables drawn at
     random against fresh synthesis."""
@@ -266,8 +242,7 @@ def load_bank(path, sys, spot_check=1, rng=None) -> AtomicShieldBank:
     ptr, idx = a["ptr"], a["idx"]
     n_atomics, k = ptr.size - 1, idx.size
     shapes = {"safes": (n_atomics, (n + 7) // 8), "base_defined": ((n + 7) // 8,),
-              "base_masks": (n, words), "ptr": (n_atomics + 1,), "idx": (k,), "masks": (k, words),
-              "defined": ((k + 7) // 8,)}
+              "base_masks": (n, words), "ptr": (n_atomics + 1,), "idx": (k,), "masks": (k, words)}
     for name, shape in shapes.items():
         if a[name].shape != shape:
             raise ValueError(f"{path}: {name} has shape {a[name].shape}, expected {shape}")
@@ -285,10 +260,8 @@ def load_bank(path, sys, spot_check=1, rng=None) -> AtomicShieldBank:
     # one array per safe set, as synthesis makes them: one block for all of
     # them raised a fine-preset process's peak resident size by about 35 MB
     safes = [StateSet(np.unpackbits(row, count=n).view(bool)) for row in a["safes"]]
-    bank = AtomicShieldBank(sys, safes, base, ptr, idx, a["masks"],
-                            np.unpackbits(a["defined"], count=k).view(bool))
-    rng = np.random.default_rng() if rng is None else rng
-    for i in rng.choice(n_atomics, size=min(spot_check, n_atomics), replace=False):
+    bank = AtomicShieldBank(sys, safes, base, ptr, idx, a["masks"])
+    for i in np.random.default_rng().choice(n_atomics, size=min(spot_check, n_atomics), replace=False):
         fresh = safety_control(sys, SafetySpec(bank.safes[int(i)]))
         if not controller_equal(fresh, bank.table(int(i))):
             raise AbstractionMismatch(f"stored table {int(i)} does not match fresh synthesis")

@@ -69,11 +69,41 @@ class TestBankCache:
         (fresh,) = tmp_path.glob("bank_coarse_*.pshb")
         assert fresh.stat().st_size > 1000
 
+    def test_a_bank_in_the_old_layout_is_rebuilt(self, tmp_path, coarse_rt, monkeypatch):
+        # earlier files also stored each diff row's domain bit ("defined")
+        import parashield.bench as bench_mod
+        from parashield.shield import save_bank
+        bank = coarse_rt.bank
+        path = tmp_path / f"bank_coarse_{coarse_rt.sys.content_hash[:16]}_{bench_mod._source_digest()[:16]}.pshb"
+        save_bank(bank, path)
+        with np.load(path) as z:
+            members = {k: z[k] for k in z.files}
+        members["defined"] = np.packbits(members["masks"].any(axis=1))
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+        calls = []
+        inner = bench_mod.synthesize_bank
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "synthesize_bank", counting)
+        rebuilt = build_runtime("coarse", cache_dir=tmp_path).bank
+        assert calls == [1]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        for name in ("ptr", "idx", "masks"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(bank, name))
+        with np.load(path) as z:
+            assert "defined" not in z.files
+        build_runtime("coarse", cache_dir=tmp_path)
+        assert calls == [1]
+
 
 class TestRunBench:
     def test_small_protocol_run(self, coarse_rt, tmp_path):
         cfg = BenchConfig(preset="coarse", instances=2, seed=11, max_steps=40)
-        rows, _ = run_bench(cfg, rt=coarse_rt)
+        rows = run_bench(cfg, rt=coarse_rt)
         assert len(rows) == 2
         assert all(r.safe for r in rows)
         assert all(r.avg_computationAdaptive > 0 for r in rows)
@@ -82,8 +112,8 @@ class TestRunBench:
 
     def test_reproducible_apart_from_timings(self, coarse_rt):
         cfg = BenchConfig(preset="coarse", instances=2, seed=5, max_steps=30)
-        a, _ = run_bench(cfg, rt=coarse_rt)
-        b, _ = run_bench(cfg, rt=coarse_rt)
+        a = run_bench(cfg, rt=coarse_rt)
+        b = run_bench(cfg, rt=coarse_rt)
         for ra, rb in zip(a, b):
             assert (ra.instance_id, ra.steps, ra.interventions, ra.safe) == \
                    (rb.instance_id, rb.steps, rb.interventions, rb.safe)
@@ -165,6 +195,25 @@ class TestCli:
         assert len(list(out.glob("trace_unshielded_4.csv"))) == 1
         assert not list(out.glob("*.pshb*"))
 
+    @pytest.mark.parametrize("records", [
+        "goal 7 7 7.5 7.5\nstart nan 1.5 0\n",
+        "obstacle 2 2 inf 2.5\ngoal 7 7 7.5 7.5\nstart 1 1.5 0\n",
+    ], ids=["nan-start", "inf-obstacle"])
+    def test_run_refuses_a_non_finite_world(self, tmp_path, monkeypatch, capsys, records):
+        import parashield.bench as bench_mod
+        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
+
+        def no_bank(*args, **kwargs):
+            raise AssertionError("a refused world needs no bank")
+
+        monkeypatch.setattr(bench_mod, "synthesize_bank", no_bank)
+        world = tmp_path / "world.txt"
+        world.write_text("bounds 0 0 8 8\n" + records)
+        rc = cli_main(["run", "--grid-preset", "coarse", "--world", str(world), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError: ") and "non-finite" in err[0]
+
     def test_out_env_overrides_flag(self, tmp_path, monkeypatch, capsys):
         override = tmp_path / "env_out"
         monkeypatch.setenv("PARASHIELD_OUT", str(override))
@@ -196,16 +245,6 @@ class TestCli:
         assert lines[0] == RESULT_HEADER
         assert len(lines) == 2
         assert lines[1].endswith("True")
-
-    def test_abstract_writes_loadable_file(self, tmp_path, capsys, monkeypatch):
-        from parashield.abstraction import load_abstraction
-        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
-        rc = cli_main(["abstract", "--grid-preset", "coarse", "--out", str(tmp_path)])
-        assert rc == 0
-        (path,) = tmp_path.glob("abstraction_coarse.pshd")
-        loaded = load_abstraction(path)
-        assert loaded.n_states == 26 * 26 * 21
-        assert loaded.n_inputs == 85
 
     def test_synth_bank_prints_phase_durations(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PARASHIELD_OUT", raising=False)

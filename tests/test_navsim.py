@@ -204,6 +204,13 @@ class TestWorldFiles:
         with pytest.raises(ValueError, match="bad.world:2"):
             load_world(path)
 
+    @pytest.mark.parametrize("line", ["start nan 1.5 0", "obstacle 2 2 inf 2.5"])
+    def test_non_finite_field_reports_line(self, tmp_path, line):
+        path = tmp_path / "bad.world"
+        path.write_text(f"bounds 0 0 8 8\ngoal 7 7 7.5 7.5\n{line}\nstart 1 1.5 0\n")
+        with pytest.raises(ValueError, match="bad.world:3: non-finite"):
+            load_world(path)
+
     def test_missing_records_rejected(self, tmp_path):
         path = tmp_path / "empty.world"
         path.write_text("bounds 0 0 3 3\n")

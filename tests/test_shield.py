@@ -42,8 +42,8 @@ def neighbour_system(rng, n, m, n_near=3):
 
 
 def bank_diffs(bank):
-    """Each atomic's stored (rows, masks, defined)."""
-    return [(bank.idx[a:b], bank.masks[a:b], bank.defined[a:b]) for a, b in zip(bank.ptr[:-1], bank.ptr[1:])]
+    """Each atomic's stored (rows, masks)."""
+    return [(bank.idx[a:b], bank.masks[a:b]) for a, b in zip(bank.ptr[:-1], bank.ptr[1:])]
 
 
 def assert_same_diff(d1, d2):
@@ -108,9 +108,10 @@ class TestSynthesizeBank:
                 assert_same_diff(diffs[order[k]], d)
             if base_id == 0:
                 assert len(diffs[0][0]) == len(diffs[1][0]) == 0
-            rows, masks, defined = diffs[2]
+            rows, masks = diffs[2]
             assert np.array_equal(rows, np.flatnonzero(bank.base.defined))
-            assert not np.any(defined) and not np.any(masks)
+            assert not np.any(masks)
+            assert np.array_equal(bank.undefined[bank.uptr[2]:bank.uptr[3]], rows)
             for i in range(len(atomics)):
                 assert controller_equal(bank.table(i), safety_control(sysm, SafetySpec(atomics[i])))
 
@@ -137,10 +138,26 @@ class TestSynthesizeBank:
 
     def test_delta_requires_sub_controllers(self, automaton7):
         sysm, g, h = automaton7
-        # base controller (for the intersection) is strictly below the other
-        # atomic's controller, so delta storage must refuse
-        with pytest.raises(ValueError):
+        # the other atomic's safe set leaves the base's (the intersection),
+        # so its controller need not be below the base's and is refused
+        with pytest.raises(ValueError, match="atomic 1"):
             synthesize_bank(sysm, [g & h, g], base_id=0)
+
+    def test_safe_set_outside_the_base_is_refused_before_synthesis(self, rng, monkeypatch):
+        import parashield.shield as shield_mod
+        sysm = random_system(rng, max_states=40)
+        base = random_state_set(rng, sysm.n_states, density=0.8)
+        outside = base.mask.copy()
+        outside[np.flatnonzero(~base.mask)[0]] = True
+        atomics = [base, base & random_state_set(rng, sysm.n_states), StateSet(outside)]
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("nothing is synthesized for a refused bank")
+
+        monkeypatch.setattr(shield_mod, "safety_control", no_synthesis)
+        monkeypatch.setattr(shield_mod, "_narrow", no_synthesis)
+        with pytest.raises(ValueError, match="atomic 2"):
+            synthesize_bank(sysm, atomics, base_id=0)
 
 
 class TestCompose:
@@ -194,28 +211,18 @@ class TestCompose:
         assert blocking > 0
         assert upper_lane_repairs > 0
 
-    def test_bits_on_undefined_diff_rows_reach_no_table(self, rng):
-        # a bank file can carry them; those rows allow nothing
-        sysm = random_system(rng, max_states=40)
-        bank = synthesize_bank(sysm, [random_state_set(rng, sysm.n_states) for _ in range(3)])
-        assert not bank.defined.all()
-        masks = bank.masks.copy()
-        masks[~bank.defined] = ~np.uint64(0)
-        dirty = AtomicShieldBank(sysm, bank.safes, bank.base, bank.ptr, bank.idx, masks, bank.defined)
-        for i in range(3):
-            assert controller_equal(dirty.table(i), bank.table(i))
-        assert controller_equal(compose(dirty, range(3)).table, compose(bank, range(3)).table)
-
     def test_diffs_of_two_atomics_on_one_row_are_anded(self, rng):
         # atomic 0 narrows rows 3 and 5, atomic 1 rows 5 and 9 (9 turns
-        # undefined); row 5 of the product holds the AND of both diffs
+        # undefined: its mask is empty); row 5 of the product holds the AND
+        # of both diffs
         sysm = neighbour_system(rng, 12, 70)
         base = universe_controller(sysm)
         sub = base.masks[[3, 5, 5, 9]] & rng.integers(0, 2 ** 64, size=(4, 2), dtype=np.uint64)
-        assert not np.array_equal(sub[1], sub[2])
+        sub[3] = 0
+        assert sub[:3].any(axis=1).all() and not np.array_equal(sub[1], sub[2])
         safes = [StateSet.full(12), StateSet.full(12)]
-        bank = AtomicShieldBank(sysm, safes, base, np.array([0, 2, 4]), np.array([3, 5, 5, 9]), sub.copy(),
-                                np.array([True, True, True, False]))
+        bank = AtomicShieldBank(sysm, safes, base, np.array([0, 2, 4]), np.array([3, 5, 5, 9]), sub.copy())
+        assert np.array_equal(bank.undefined, [9]) and np.array_equal(bank.uptr, [0, 0, 1])
         raw = bank.raw_product([0, 1])
         expect = base.masks.copy()
         expect[3], expect[5], expect[9] = sub[0], sub[1] & sub[2], 0
@@ -236,7 +243,7 @@ class TestCompose:
         assert not masks.flags.c_contiguous
         base = ControllerTable(sysm.n_states, sysm.n_inputs, bank.base.defined.copy(), masks)
         assert base.masks.flags.c_contiguous
-        other = AtomicShieldBank(sysm, bank.safes, base, bank.ptr, bank.idx, bank.masks, bank.defined)
+        other = AtomicShieldBank(sysm, bank.safes, base, bank.ptr, bank.idx, bank.masks)
         assert controller_equal(compose(other, range(3)).table, compose(bank, range(3)).table)
         # the narrowing loop updates the rows of the table it is given: from
         # the universe base narrowed to atomic 0's safe set, as synthesis
@@ -379,7 +386,7 @@ class TestBankSerialization:
         b = automaton7_bank
         path = tmp_path / "bank.pshb"
         # each table stored under the other atomic's safe set
-        tampered = AtomicShieldBank(sysm, b.safes[::-1], b.base, b.ptr, b.idx, b.masks, b.defined)
+        tampered = AtomicShieldBank(sysm, b.safes[::-1], b.base, b.ptr, b.idx, b.masks)
         save_bank(tampered, path)
         with pytest.raises(AbstractionMismatch):
             load_bank(path, sysm, spot_check=2)
@@ -473,6 +480,18 @@ class TestMalformedBank:
             np.savez(f, **{k: v for k, v in members.items() if v is not None})
         # no spot check: the structural checks alone must refuse the file
         with pytest.raises(ValueError) as err:
+            load_bank(path, sysm, spot_check=0)
+        assert not isinstance(err.value, AbstractionMismatch)
+
+    def test_old_layout_with_stored_domain_bits(self, bank_file):
+        # earlier files stored each diff row's domain bit, which is now read
+        # off its mask; the member set no longer matches
+        sysm, path = bank_file
+        members = _members(path)
+        members["defined"] = np.packbits(members["masks"].any(axis=1))
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+        with pytest.raises(ValueError, match="members") as err:
             load_bank(path, sysm, spot_check=0)
         assert not isinstance(err.value, AbstractionMismatch)
 
