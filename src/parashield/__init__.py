@@ -39,6 +39,7 @@ from .synthesis import (
     ControllerTable,
     SafetySpec,
     StateSet,
+    StateSets,
     controller_equal,
     cpre,
     is_sub_controller,

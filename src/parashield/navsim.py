@@ -27,7 +27,7 @@ from .abstraction import (
 )
 from .errors import DomainViolation, GenerationFailed, GridMismatch
 from .shield import AtomicShieldBank, compose, pure_online_shield, shield_apply
-from .synthesis import StateSet
+from .synthesis import StateSets
 
 
 @dataclass
@@ -41,11 +41,17 @@ class WorldMap:
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.bounds
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError(f"bounds {tuple(self.bounds)} are not ordered as x0 < x1, y0 < y1")
         gx0, gy0, gx1, gy1 = self.goal
         if not (x0 <= gx0 <= gx1 <= x1 and y0 <= gy0 <= gy1 <= y1):
             raise ValueError("goal rectangle must lie inside the bounds")
         sx, sy = self.start[0], self.start[1]
+        if not (x0 <= sx <= x1 and y0 <= sy <= y1):
+            raise ValueError(f"start position ({sx}, {sy}) lies outside the bounds")
         for ob in self.obstacles:
+            if not (ob[0] <= ob[2] and ob[1] <= ob[3]):
+                raise ValueError(f"obstacle {tuple(ob)} is not ordered as x0 <= x1, y0 <= y1")
             if ob[0] <= sx <= ob[2] and ob[1] <= sy <= ob[3]:
                 raise ValueError("start pose lies inside an obstacle")
 
@@ -187,18 +193,14 @@ class ColumnLayout:
         return np.repeat(m.reshape(-1), self.nt)
 
 
-def make_atomics(grid: GridSpec, d, epsilon):
+def make_atomics(grid: GridSpec, d, epsilon) -> StateSets:
     """Atomic safe sets: id 0 excludes only the fence; id i>0 additionally
-    excludes one interior X-Y column over the full heading range."""
+    excludes one interior X-Y column over the full heading range.  They are
+    stored as the fence's complement and the column each atomic lacks."""
     layout = ColumnLayout(grid, d)
-    fence = layout.fence_mask()
-    atomics = [StateSet(~fence)]
-    for ix in range(layout.ix0, layout.ix1 + 1):
-        for iy in range(layout.iy0, layout.iy1 + 1):
-            unsafe = fence.copy()
-            unsafe[layout.column_cells(ix, iy)] = True
-            atomics.append(StateSet(~unsafe))
-    return atomics
+    lacks = [layout.column_cells(*layout.column_of(i)) for i in range(1, layout.n_interior + 1)]
+    ptr = np.cumsum([0, 0] + [c.size for c in lacks], dtype=np.int64)
+    return StateSets(~layout.fence_mask(), ptr, np.concatenate(lacks))
 
 
 @dataclass
@@ -282,7 +284,7 @@ class NavRuntime:
     cfg: SensingConfig
     sys: BoxedAbstraction
     layout: ColumnLayout
-    atomics: list
+    atomics: StateSets
     bank: AtomicShieldBank | None
     abstraction_seconds: float
     bank_seconds: float    # synthesis, or loading when the bank was cached

@@ -24,6 +24,7 @@ from .synthesis import (
     ControllerTable,
     SafetySpec,
     StateSet,
+    StateSets,
     _empty_rows,
     _narrow,
     _rows,
@@ -67,11 +68,13 @@ class AtomicShieldBank:
     ascending within each atomic) and `masks`.  Atomic tables are nonblocking
     on their domains, so a diff row leaves the domain exactly when its mask
     is empty; the states of those rows are `undefined[uptr[i]:uptr[i + 1]]`.
+    The safe sets are one `StateSets`; a plain iterable of them is stored
+    against the full set.
     """
 
     def __init__(self, sys, safes, base, ptr, idx, masks):
         self.sys = sys
-        self.safes = list(safes)
+        self.safes = safes if isinstance(safes, StateSets) else StateSets.encode(safes, StateSet.full(sys.n_states))
         self.n_atomics = len(self.safes)
         self.base = base
         self.ptr = ptr
@@ -116,9 +119,11 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     """Offline phase: one safety-controller synthesis per atomic safe set.
 
     The base is the controller of atomic `base_id`, or the universe
-    controller without one.  Every safe set must lie inside the base's (a
-    ValueError naming the first atomic that leaves it is raised before
-    anything is synthesized), so every run starts from the base's fixed
+    controller without one.  `atomics` is a `StateSets` or a plain iterable
+    of `StateSet`s, which is stored against the base atomic's safe set, or
+    the full set without one.  Every safe set must lie inside the base's (the
+    encoding raises a ValueError naming the first atomic that leaves it
+    before anything is synthesized), so every run starts from the base's fixed
     point (shorter descent, same result; from the universe controller it is
     exactly the cold start) and its table is a sub-controller of the base.
     All runs share one work copy of the base: its states that are unsafe or
@@ -130,11 +135,13 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     module's logger: one DEBUG record per atomic, whose `atomic`, `atomics`
     and `diff_rows` attributes give its index, the total and its diff size.
     """
-    atomics = list(atomics)
-    if base_id is not None:
-        for i, safe in enumerate(atomics):
-            if not safe <= atomics[base_id]:
-                raise ValueError(f"atomic {i}'s safe set leaves that of base atomic {base_id}")
+    if not isinstance(atomics, StateSets):
+        atomics = list(atomics)
+        atomics = StateSets.encode(atomics, StateSet.full(sys.n_states) if base_id is None else atomics[base_id])
+    elif base_id is not None and atomics.ptr[base_id] < atomics.ptr[base_id + 1]:
+        # the base atomic lacks states of the reference: encoding against
+        # its set checks every set against it
+        atomics = StateSets.encode(atomics, atomics[base_id])
     base = universe_controller(sys) if base_id is None else safety_control(sys, SafetySpec(atomics[base_id]))
     work = base.copy()
     base_rows, work_rows = _rows(base.masks), _rows(work.masks)
@@ -180,9 +187,10 @@ def pure_online_shield(sys, safe_sets) -> Shield:
     sets = list(safe_sets)
     if not sets:
         raise EmptyActiveSet("at least one safe set is required")
-    safe = sets[0]
+    safe = StateSet(sets[0].mask.copy())
     for s in sets[1:]:
-        safe = safe & s
+        safe._check(s)
+        np.logical_and(safe.mask, s.mask, out=safe.mask)
     return Shield(safety_control(sys, SafetySpec(safe)), sys.inputs)
 
 
@@ -213,16 +221,20 @@ def shield_apply(shield: Shield, cell, proposed) -> ShieldDecision:
 # -- serialization ------------------------------------------------------------
 
 _BANK_DTYPES = {
-    "safes": np.uint8, "base_defined": np.uint8, "base_masks": np.uint64,
+    "safe_ref": np.uint8, "safe_ptr": np.int64, "safe_idx": np.int64,
+    "base_defined": np.uint8, "base_masks": np.uint64,
     "ptr": np.int64, "idx": np.int64, "masks": np.uint64,
 }
 
 
 def save_bank(bank: AtomicShieldBank, path):
-    """Write the safe sets, the base and the concatenated diffs, keyed by the
-    abstraction's content hash; bit arrays are packed."""
+    """Write the safe sets (reference set plus the states each lacks), the
+    base and the concatenated diffs, keyed by the abstraction's content hash;
+    bit arrays are packed."""
     write_artifact(path, "bank", bank.sys.content_hash, {
-        "safes": np.array([np.packbits(s.mask) for s in bank.safes]),
+        "safe_ref": np.packbits(bank.safes.ref),
+        "safe_ptr": bank.safes.ptr,
+        "safe_idx": bank.safes.idx,
         "base_defined": np.packbits(bank.base.defined),
         "base_masks": bank.base.masks,
         "ptr": bank.ptr,
@@ -231,36 +243,45 @@ def save_bank(bank: AtomicShieldBank, path):
     })
 
 
-def load_bank(path, sys, spot_check=1) -> AtomicShieldBank:
-    """Load a bank; rejects the wrong abstraction (AbstractionMismatch) and
-    malformed contents (ValueError), and checks `spot_check` tables drawn at
-    random against fresh synthesis."""
-    content_hash, a = read_artifact(path, "bank", _BANK_DTYPES)
-    if content_hash != sys.content_hash:
-        raise AbstractionMismatch("bank was synthesized for a different abstraction")
-    n, words = sys.n_states, (sys.n_inputs + 63) // 64
-    ptr, idx = a["ptr"], a["idx"]
-    n_atomics, k = ptr.size - 1, idx.size
-    shapes = {"safes": (n_atomics, (n + 7) // 8), "base_defined": ((n + 7) // 8,),
-              "base_masks": (n, words), "ptr": (n_atomics + 1,), "idx": (k,), "masks": (k, words)}
-    for name, shape in shapes.items():
-        if a[name].shape != shape:
-            raise ValueError(f"{path}: {name} has shape {a[name].shape}, expected {shape}")
-    if n_atomics < 1 or ptr[0] != 0 or ptr[-1] != k or np.any(np.diff(ptr) < 0):
-        raise ValueError(f"{path}: diff offsets are not monotone from 0 to {k}")
+def _check_segments(path, what, ptr, idx, n):
+    """Rows `idx[ptr[i]:ptr[i + 1]]`: offsets monotone from 0 to the length
+    of `idx`, states in [0, n), strictly ascending within each row."""
+    k = idx.size
+    if ptr[0] != 0 or ptr[-1] != k or np.any(np.diff(ptr) < 0):
+        raise ValueError(f"{path}: offsets of the {what} are not monotone from 0 to {k}")
     if k and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"{path}: diff rows outside [0, {n})")
-    # a repeated row would keep only its last mask in the product
+        raise ValueError(f"{path}: {what} outside [0, {n})")
     unordered = idx[1:] <= idx[:-1]
     starts = ptr[1:-1]
     unordered[starts[(starts > 0) & (starts < k)] - 1] = False
     if np.any(unordered):
-        raise ValueError(f"{path}: diff rows of an atomic are not strictly ascending")
+        raise ValueError(f"{path}: {what} of an atomic are not strictly ascending")
+
+
+def load_bank(path, sys, spot_check=1) -> AtomicShieldBank:
+    """Load a bank; rejects the wrong abstraction (AbstractionMismatch) and
+    malformed contents (ValueError), and checks `spot_check` tables drawn at
+    random against fresh synthesis."""
+    a = read_artifact(path, "bank", sys.content_hash, _BANK_DTYPES)
+    n, words = sys.n_states, (sys.n_inputs + 63) // 64
+    ptr, idx = a["ptr"], a["idx"]
+    n_atomics, k = ptr.size - 1, idx.size
+    shapes = {"safe_ref": ((n + 7) // 8,), "safe_ptr": (n_atomics + 1,), "safe_idx": (a["safe_idx"].size,),
+              "base_defined": ((n + 7) // 8,), "base_masks": (n, words),
+              "ptr": (n_atomics + 1,), "idx": (k,), "masks": (k, words)}
+    for name, shape in shapes.items():
+        if a[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {a[name].shape}, expected {shape}")
+    if n_atomics < 1:
+        raise ValueError(f"{path}: no atomics")
+    # a repeated diff row would keep only its last mask in the product
+    _check_segments(path, "diff rows", ptr, idx, n)
+    _check_segments(path, "lacked safe states", a["safe_ptr"], a["safe_idx"], n)
+    safe_ref = np.unpackbits(a["safe_ref"], count=n).view(bool)
+    if not np.all(safe_ref[a["safe_idx"]]):
+        raise ValueError(f"{path}: a safe set lacks a state outside the reference set")
     base = ControllerTable(n, sys.n_inputs, np.unpackbits(a["base_defined"], count=n).view(bool), a["base_masks"])
-    # one array per safe set, as synthesis makes them: one block for all of
-    # them raised a fine-preset process's peak resident size by about 35 MB
-    safes = [StateSet(np.unpackbits(row, count=n).view(bool)) for row in a["safes"]]
-    bank = AtomicShieldBank(sys, safes, base, ptr, idx, a["masks"])
+    bank = AtomicShieldBank(sys, StateSets(safe_ref, a["safe_ptr"], a["safe_idx"]), base, ptr, idx, a["masks"])
     for i in np.random.default_rng().choice(n_atomics, size=min(spot_check, n_atomics), replace=False):
         fresh = safety_control(sys, SafetySpec(bank.safes[int(i)]))
         if not controller_equal(fresh, bank.table(int(i))):

@@ -97,6 +97,39 @@ class StateSet:
         return f"StateSet({len(self)}/{self.n})"
 
 
+class StateSets:
+    """Sequence of state sets inside one reference set, each stored as the
+    states it lacks from `ref`: set i lacks `idx[ptr[i]:ptr[i + 1]]`
+    (strictly ascending).  Indexing builds a fresh `StateSet`; nothing is
+    cached."""
+
+    __slots__ = ("ref", "ptr", "idx")
+
+    def __init__(self, ref, ptr, idx):
+        self.ref, self.ptr, self.idx = np.asarray(ref, dtype=bool), ptr, idx
+
+    @classmethod
+    def encode(cls, sets, ref: StateSet):
+        """The sets of an iterable against `ref`; a ValueError names the
+        first one that leaves it."""
+        lacks = []
+        for i, s in enumerate(sets):
+            if not s <= ref:
+                raise ValueError(f"atomic {i}'s safe set leaves the reference set")
+            lacks.append(np.flatnonzero(ref.mask & ~s.mask))
+        ptr = np.cumsum([0] + [a.size for a in lacks], dtype=np.int64)
+        return cls(ref.mask, ptr, np.concatenate([np.zeros(0, np.int64)] + lacks))
+
+    def __len__(self):
+        return self.ptr.size - 1
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]    # negative indices count from the end
+        mask = self.ref.copy()
+        mask[self.idx[self.ptr[i]:self.ptr[i + 1]]] = False
+        return StateSet(mask)
+
+
 class SafetySpec:
     """Stay forever inside a set of safe states."""
 

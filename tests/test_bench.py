@@ -71,6 +71,23 @@ class TestBankCache:
 
     def test_a_bank_in_the_old_layout_is_rebuilt(self, tmp_path, coarse_rt, monkeypatch):
         # earlier files also stored each diff row's domain bit ("defined")
+        def old(members):
+            members["defined"] = np.packbits(members["masks"].any(axis=1))
+        self.check_rebuilt(tmp_path, coarse_rt, monkeypatch, old, "defined")
+
+    def test_a_bank_with_dense_safe_sets_is_rebuilt(self, tmp_path, coarse_rt, monkeypatch):
+        # earlier files stored every safe set as one packed row ("safes")
+        def old(members):
+            for name in ("safe_ref", "safe_ptr", "safe_idx"):
+                del members[name]
+            members["safes"] = np.array([np.packbits(s.mask) for s in coarse_rt.atomics])
+        self.check_rebuilt(tmp_path, coarse_rt, monkeypatch, old, "safes")
+
+    @staticmethod
+    def check_rebuilt(tmp_path, coarse_rt, monkeypatch, old, member):
+        """`build_runtime` synthesizes a bank whose file `old` rewrote into
+        an earlier layout with `member` once, and the file it writes back
+        loads without synthesis."""
         import parashield.bench as bench_mod
         from parashield.shield import save_bank
         bank = coarse_rt.bank
@@ -78,7 +95,7 @@ class TestBankCache:
         save_bank(bank, path)
         with np.load(path) as z:
             members = {k: z[k] for k in z.files}
-        members["defined"] = np.packbits(members["masks"].any(axis=1))
+        old(members)
         with open(path, "wb") as f:
             np.savez(f, **members)
         calls = []
@@ -95,7 +112,7 @@ class TestBankCache:
         for name in ("ptr", "idx", "masks"):
             assert np.array_equal(getattr(rebuilt, name), getattr(bank, name))
         with np.load(path) as z:
-            assert "defined" not in z.files
+            assert member not in z.files
         build_runtime("coarse", cache_dir=tmp_path)
         assert calls == [1]
 
@@ -195,11 +212,12 @@ class TestCli:
         assert len(list(out.glob("trace_unshielded_4.csv"))) == 1
         assert not list(out.glob("*.pshb*"))
 
-    @pytest.mark.parametrize("records", [
-        "goal 7 7 7.5 7.5\nstart nan 1.5 0\n",
-        "obstacle 2 2 inf 2.5\ngoal 7 7 7.5 7.5\nstart 1 1.5 0\n",
-    ], ids=["nan-start", "inf-obstacle"])
-    def test_run_refuses_a_non_finite_world(self, tmp_path, monkeypatch, capsys, records):
+    @pytest.mark.parametrize("records, problem", [
+        ("goal 7 7 7.5 7.5\nstart nan 1.5 0\n", "non-finite"),
+        ("obstacle 2 2 inf 2.5\ngoal 7 7 7.5 7.5\nstart 1 1.5 0\n", "non-finite"),
+        ("obstacle 3 3 2 2\ngoal 7 7 7.5 7.5\nstart 20 20 0\n", "outside the bounds"),
+    ], ids=["nan-start", "inf-obstacle", "start-outside-bounds"])
+    def test_run_refuses_a_non_finite_world(self, tmp_path, monkeypatch, capsys, records, problem):
         import parashield.bench as bench_mod
         monkeypatch.delenv("PARASHIELD_OUT", raising=False)
 
@@ -212,7 +230,7 @@ class TestCli:
         rc = cli_main(["run", "--grid-preset", "coarse", "--world", str(world), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ValueError: ") and "non-finite" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: ValueError: ") and problem in err[0]
 
     def test_out_env_overrides_flag(self, tmp_path, monkeypatch, capsys):
         override = tmp_path / "env_out"

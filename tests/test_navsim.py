@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from parashield.bench import preset_config
 from parashield.errors import GenerationFailed, GridMismatch
 from parashield.navsim import (
     ColumnLayout,
@@ -53,6 +54,20 @@ def read_trace(path, mode, seed):
     return trace
 
 
+def dense_atomics(grid, d):
+    """The atomic safe sets as one dense mask each: the reference for the
+    stored sequence of `make_atomics`."""
+    layout = ColumnLayout(grid, d)
+    fence = layout.fence_mask()
+    atomics = [StateSet(~fence)]
+    for ix in range(layout.ix0, layout.ix1 + 1):
+        for iy in range(layout.iy0, layout.iy1 + 1):
+            unsafe = fence.copy()
+            unsafe[layout.column_cells(ix, iy)] = True
+            atomics.append(StateSet(~unsafe))
+    return atomics
+
+
 def wall_world():
     """Straight corridor with a full-height wall: driving east collides."""
     return WorldMap(bounds=(0.0, 0.0, 3.0, 1.2),
@@ -88,6 +103,34 @@ class TestAtomics:
         unsafe[layout.column_cells(cx, cy)] = True
         unsafe[layout.column_cells(dx, dy)] = True
         assert both == StateSet(~unsafe)
+
+    @pytest.mark.parametrize("preset", ["coarse", "fine"])
+    def test_equal_the_dense_masks(self, preset):
+        cfg = preset_config(preset)
+        atomics = make_atomics(cfg.grid, cfg.d, cfg.epsilon)
+        want = dense_atomics(cfg.grid, cfg.d)
+        assert len(atomics) == len(want)
+        for i, s in enumerate(want):
+            assert np.array_equal(atomics[i].mask, s.mask)
+
+    def test_indexing(self, coarse_cfg):
+        atomics = make_atomics(coarse_cfg.grid, coarse_cfg.d, coarse_cfg.epsilon)
+        n = len(atomics)
+        assert atomics[-1] == atomics[n - 1] and atomics[-n] == atomics[0]
+        assert atomics[np.int64(3)] == atomics[3]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                atomics[i]
+        # every access builds a fresh set
+        a = atomics[5]
+        a.mask[:] = False
+        assert atomics[5] != a
+        assert [s for s in atomics][7] == atomics[7] and sum(1 for _ in atomics) == n
+
+    def test_fine_safe_sets_hold_under_a_megabyte(self, fine_rt):
+        for sets in (fine_rt.atomics, fine_rt.bank.safes):
+            assert len(sets) == 1090
+            assert sets.ref.nbytes + sets.ptr.nbytes + sets.idx.nbytes < 2 ** 20
 
     def test_interior_ids_are_bijective(self, coarse_cfg):
         layout = ColumnLayout(coarse_cfg.grid, coarse_cfg.d)
@@ -215,6 +258,19 @@ class TestWorldFiles:
         path = tmp_path / "empty.world"
         path.write_text("bounds 0 0 3 3\n")
         with pytest.raises(ValueError, match="missing"):
+            load_world(path)
+
+    @pytest.mark.parametrize("records, problem", [
+        ("bounds 0 0 8 8\nobstacle 3 3 2 2\ngoal 7 7 7.5 7.5\nstart 20 20 0\n", "start position .* outside the bounds"),
+        ("bounds 0 0 8 8\nobstacle 3 3 2 4\ngoal 7 7 7.5 7.5\nstart 1 1 0\n", "obstacle .* is not ordered"),
+        ("bounds 0 0 8 8\nobstacle 3 3 4 2\ngoal 7 7 7.5 7.5\nstart 1 1 0\n", "obstacle .* is not ordered"),
+        ("bounds 8 0 0 8\ngoal 7 7 7.5 7.5\nstart 1 1 0\n", "bounds .* are not ordered"),
+        ("bounds 0 8 8 0\ngoal 7 7 7.5 7.5\nstart 1 1 0\n", "bounds .* are not ordered"),
+    ], ids=["start-outside", "obstacle-x-reversed", "obstacle-y-reversed", "bounds-x-reversed", "bounds-y-reversed"])
+    def test_inconsistent_geometry_rejected(self, tmp_path, records, problem):
+        path = tmp_path / "bad.world"
+        path.write_text(records)
+        with pytest.raises(ValueError, match=problem):
             load_world(path)
 
     def test_start_inside_obstacle_rejected(self):

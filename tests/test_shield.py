@@ -25,6 +25,7 @@ from parashield.synthesis import (
     ControllerTable,
     SafetySpec,
     StateSet,
+    StateSets,
     _narrow,
     closure_holds,
     controller_equal,
@@ -124,6 +125,36 @@ class TestSynthesizeBank:
         assert controller_equal(bank.base, coarse_rt.bank.base)
         for k, d in enumerate(bank_diffs(bank)):
             assert_same_diff(full[ids[order[k]]], d)
+
+    def test_plain_list_stores_the_same_sets_and_tables(self, coarse_rt):
+        # a list is stored against the base atomic's safe set, which is the
+        # reference `make_atomics` stores its sequence against
+        atomics = coarse_rt.atomics
+        from_list = synthesize_bank(coarse_rt.sys, [atomics[i] for i in range(len(atomics))], base_id=0)
+        from_seq = synthesize_bank(coarse_rt.sys, atomics, base_id=0)
+        assert from_seq.safes is atomics
+        assert isinstance(from_list.safes, StateSets) and from_list.n_atomics == len(atomics)
+        for name in ("ref", "ptr", "idx"):
+            assert np.array_equal(getattr(from_list.safes, name), getattr(atomics, name))
+        assert controller_equal(from_list.base, from_seq.base)
+        for name in ("ptr", "idx", "masks"):
+            assert np.array_equal(getattr(from_list, name), getattr(from_seq, name))
+        for i in range(len(atomics)):
+            assert from_list.safes[i] == atomics[i]
+            assert controller_equal(from_list.table(i), from_seq.table(i))
+
+    def test_a_sequence_is_checked_against_its_base_atomic(self, rng):
+        sysm = random_system(rng, max_states=40)
+        base = random_state_set(rng, sysm.n_states, density=0.8)
+        base.mask[0] = False
+        inside = base & random_state_set(rng, sysm.n_states)
+        seq = StateSets.encode([StateSet.full(sysm.n_states), base, inside], StateSet.full(sysm.n_states))
+        with pytest.raises(ValueError, match="atomic 0"):
+            synthesize_bank(sysm, seq, base_id=1)
+        bank = synthesize_bank(sysm, StateSets.encode([base, inside], StateSet.full(sysm.n_states)), base_id=0)
+        assert np.array_equal(bank.safes.ref, base.mask)
+        assert bank.safes[1] == inside
+        assert controller_equal(bank.table(1), safety_control(sysm, SafetySpec(inside)))
 
     def test_logs_one_record_per_atomic(self, rng, caplog):
         sysm = random_system(rng, max_states=40)
@@ -273,6 +304,16 @@ class TestPureOnline:
         sh = pure_online_shield(sysm, [StateSet.full(7)])
         assert sh.table.domain_size() == 7
 
+    def test_intersects_without_changing_its_sets(self, rng):
+        sysm = random_system(rng, max_states=40)
+        sets = [random_state_set(rng, sysm.n_states, density=0.9) for _ in range(4)]
+        before = [s.mask.copy() for s in sets]
+        sh = pure_online_shield(sysm, iter(sets))
+        assert controller_equal(sh.table, safety_control(sysm, SafetySpec(sets[0] & sets[1] & sets[2] & sets[3])))
+        assert all(np.array_equal(s.mask, m) for s, m in zip(sets, before))
+        with pytest.raises(EmptyActiveSet):
+            pure_online_shield(sysm, [])
+
 
 class TestShieldApply:
     def make_shield(self, allowed_rows, points):
@@ -386,7 +427,7 @@ class TestBankSerialization:
         b = automaton7_bank
         path = tmp_path / "bank.pshb"
         # each table stored under the other atomic's safe set
-        tampered = AtomicShieldBank(sysm, b.safes[::-1], b.base, b.ptr, b.idx, b.masks)
+        tampered = AtomicShieldBank(sysm, list(b.safes)[::-1], b.base, b.ptr, b.idx, b.masks)
         save_bank(tampered, path)
         with pytest.raises(AbstractionMismatch):
             load_bank(path, sysm, spot_check=2)
@@ -437,6 +478,32 @@ def _idx_out_of_range(m, n):
     return {"idx": idx}
 
 
+def _safe_ptr_not_monotone(m, n):
+    ptr = m["safe_ptr"].copy()
+    ptr[1], ptr[2] = ptr[2], ptr[1]
+    return {"safe_ptr": ptr}
+
+
+def _safe_idx_out_of_range(m, n):
+    idx = m["safe_idx"].copy()
+    idx[-1] = n
+    return {"safe_idx": idx}
+
+
+def _safe_idx_repeated(m, n):
+    # the second state safe set 0 lacks is its first one again
+    assert m["safe_ptr"][1] >= 2
+    idx = m["safe_idx"].copy()
+    idx[1] = idx[0]
+    return {"safe_idx": idx}
+
+
+def _lacked_state_outside_the_reference(m, n):
+    ref = np.unpackbits(m["safe_ref"], count=n).view(bool)
+    ref[m["safe_idx"][0]] = False
+    return {"safe_ref": np.packbits(ref)}
+
+
 def _idx_repeated(m, n):
     # the second diff row of atomic 0 names its first row again
     assert m["ptr"][1] >= 2
@@ -457,6 +524,7 @@ class TestMalformedBank:
         path = tmp_path / "bank.pshb"
         bank = synthesize_bank(sysm, atomics)
         assert all(bank.ptr[i] < bank.ptr[i + 1] for i in range(3))
+        assert all(bank.safes.ptr[i] < bank.safes.ptr[i + 1] for i in range(3))
         save_bank(bank, path)
         return sysm, path
 
@@ -470,8 +538,13 @@ class TestMalformedBank:
         _idx_repeated,
         lambda m, n: {"masks": np.hstack([m["masks"], m["masks"]])},
         lambda m, n: {"masks": m["masks"].astype(np.int64)},
+        _safe_ptr_not_monotone,
+        _safe_idx_out_of_range,
+        _safe_idx_repeated,
+        _lacked_state_outside_the_reference,
     ], ids=["missing-member", "wrong-kind", "wrong-version", "ptr-not-monotone",
-            "ptr-not-ending-at-idx", "idx-out-of-range", "idx-repeated", "mask-width", "mask-dtype"])
+            "ptr-not-ending-at-idx", "idx-out-of-range", "idx-repeated", "mask-width", "mask-dtype",
+            "safe-ptr-not-monotone", "safe-idx-out-of-range", "safe-idx-repeated", "lacked-state-outside-ref"])
     def test_bad_contents(self, bank_file, change):
         sysm, path = bank_file
         members = _members(path)
@@ -494,6 +567,29 @@ class TestMalformedBank:
         with pytest.raises(ValueError, match="members") as err:
             load_bank(path, sysm, spot_check=0)
         assert not isinstance(err.value, AbstractionMismatch)
+
+    def test_old_layout_with_dense_safe_sets(self, bank_file):
+        # earlier files stored every safe set as one packed row
+        sysm, path = bank_file
+        members = _members(path)
+        safes = StateSets(np.unpackbits(members.pop("safe_ref"), count=sysm.n_states).view(bool),
+                          members.pop("safe_ptr"), members.pop("safe_idx"))
+        members["safes"] = np.array([np.packbits(s.mask) for s in safes])
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+        with pytest.raises(ValueError, match="members") as err:
+            load_bank(path, sysm, spot_check=0)
+        assert not isinstance(err.value, AbstractionMismatch)
+
+    def test_foreign_hash_is_refused_before_any_array_is_read(self, bank_file):
+        sysm, path = bank_file
+        members = _members(path)
+        members["content_hash"] = np.str_("0" * 64)
+        members["masks"] = members["masks"].astype(np.int64)
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+        with pytest.raises(AbstractionMismatch):
+            load_bank(path, sysm, spot_check=0)
 
     def test_flipped_byte_in_diff_masks(self, bank_file):
         sysm, path = bank_file

@@ -17,6 +17,7 @@ from parashield.synthesis import (
     ControllerTable,
     SafetySpec,
     StateSet,
+    StateSets,
     _narrow,
     _pack_bool,
     _unpack_bool,
@@ -49,6 +50,31 @@ def dump_controller(table, fh, grid=None):
 
 def sset(indices, n=7):
     return StateSet.from_indices(n, indices)
+
+
+class TestStateSets:
+    def test_encode_stores_what_each_set_lacks(self, rng):
+        ref = random_state_set(rng, 50, density=0.8)
+        sets = [ref & random_state_set(rng, 50) for _ in range(6)] + [ref, StateSet.empty(50)]
+        seq = StateSets.encode(sets, ref)
+        assert len(seq) == len(sets) and np.array_equal(seq.ref, ref.mask)
+        for i, s in enumerate(sets):
+            assert seq[i] == s
+            lacks = seq.idx[seq.ptr[i]:seq.ptr[i + 1]]
+            assert np.all(np.diff(lacks) > 0) and np.array_equal(lacks, np.flatnonzero(ref.mask & ~s.mask))
+        assert seq.ptr[6] == seq.ptr[7] and seq.ptr[8] - seq.ptr[7] == len(ref)
+
+    def test_encode_refuses_a_set_outside_the_reference(self):
+        with pytest.raises(ValueError, match="atomic 1"):
+            StateSets.encode([sset([0, 1]), sset([1, 2])], sset([0, 1]))
+        with pytest.raises(UniverseMismatch):
+            StateSets.encode([sset([0], n=6)], sset([0, 1]))
+
+    def test_encode_nothing(self):
+        seq = StateSets.encode([], StateSet.full(7))
+        assert len(seq) == 0 and list(seq) == []
+        with pytest.raises(IndexError):
+            seq[0]
 
 
 class TestStateSetAlgebra:
