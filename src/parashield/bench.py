@@ -9,12 +9,10 @@ columns are comparable.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .navsim import (
     make_sensing_config,
     run_episode,
 )
-from .shield import compose, load_bank, save_bank, synthesize_bank
+from .shield import compose, synthesize_bank
 from .synthesis import (
     ControllerTable,
     SafetySpec,
@@ -47,22 +45,6 @@ GRID_PRESETS = {
     "medium": (0.08, 0.08, 0.25),
     "fine": (0.06, 0.06, 0.20),
 }
-
-@dataclass
-class BenchConfig:
-    """Full-protocol settings; defaults mirror the experimental setup."""
-
-    preset: str = "coarse"
-    instances: int = 70
-    seed: int = 0
-    max_steps: int = 200
-
-    def __post_init__(self):
-        if self.preset not in GRID_PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; choose from {sorted(GRID_PRESETS)}")
-        if self.instances < 1:
-            raise ValueError("instances must be positive")
-
 
 @dataclass
 class BenchRow:
@@ -97,66 +79,36 @@ DEFAULT_OBSTACLE_MARGIN_CELLS = 0.0
 
 
 def preset_config(preset) -> SensingConfig:
+    if preset not in GRID_PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(GRID_PRESETS)}")
     eta = GRID_PRESETS[preset]
     return make_sensing_config(eta=eta, obstacle_margin=DEFAULT_OBSTACLE_MARGIN_CELLS * eta[0])
 
 
-def _source_digest():
-    """Digest of the parashield sources; part of the bank cache key, so a
-    changed program never loads a bank an older one built."""
-    h = hashlib.sha256()
-    src = Path(__file__).parent
-    for path in sorted(src.rglob("*.py")):
-        h.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
-    return h.hexdigest()
-
-
-def build_runtime(preset, cache_dir=None, with_bank=True) -> NavRuntime:
-    """Abstraction plus atomic-shield bank for one grid preset.
-
-    With a `cache_dir`, the bank is loaded from the file keyed by preset,
-    content hash and source digest there; a file that fails to load is
-    rebuilt, and a freshly synthesized bank is written there atomically.
-    Writing one deletes the preset's banks cached under other keys, which no
-    build of these sources reads.  Without `with_bank` the runtime's bank is
-    None and nothing is synthesized, loaded or written: enough for an
-    unshielded episode in a given world.
-    """
+def build_runtime(preset, with_bank=True) -> NavRuntime:
+    """Abstraction plus atomic-shield bank for one grid preset, synthesized
+    with the fence atomic as base.  Without `with_bank` the runtime's bank is
+    None and nothing is synthesized: enough for an unshielded episode in a
+    given world."""
     cfg = preset_config(preset)
     t0 = time.perf_counter()
     sys = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
     t1 = time.perf_counter()
-    atomics = make_atomics(cfg.grid, cfg.d, cfg.epsilon)
-    bank = path = None
-    if with_bank and cache_dir is not None:
-        path = Path(cache_dir) / f"bank_{preset}_{sys.content_hash[:16]}_{_source_digest()[:16]}.pshb"
-        if path.exists():
-            try:
-                bank = load_bank(path, sys)
-            except ValueError:    # malformed, or AbstractionMismatch
-                path.unlink()
-    if with_bank and bank is None:
-        bank = synthesize_bank(sys, atomics, base_id=0)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            save_bank(bank, tmp)
-            os.replace(tmp, path)
-            for stale in path.parent.glob(f"bank_{preset}_*.pshb"):
-                if stale != path:
-                    stale.unlink(missing_ok=True)
-    return NavRuntime(cfg, sys, ColumnLayout(cfg.grid, cfg.d), atomics, bank,
+    bank = synthesize_bank(sys, make_atomics(cfg.grid, cfg.d, cfg.epsilon), base_id=0) if with_bank else None
+    return NavRuntime(cfg, sys, ColumnLayout(cfg.grid, cfg.d), bank,
                       abstraction_seconds=t1 - t0, bank_seconds=time.perf_counter() - t1)
 
 
-def run_bench(cfg: BenchConfig, rt: NavRuntime):
+def run_bench(rt: NavRuntime, instances=70, seed=0, max_steps=200):
     """Run the full protocol: per instance, one dynamic and one pure-online
     episode on the same seed, timing the shield-update stage of each."""
+    if instances < 1:
+        raise ValueError("instances must be positive")
     rows = []
-    for i in range(cfg.instances):
-        world = feasible_world(rt, cfg.seed + 1000 * i + 1, WorldParams())
-        ep_seed = cfg.seed + 1000 * i + 7
-        dyn, base = (run_episode(world, rt, mode=mode, seed=ep_seed, max_steps=cfg.max_steps)
+    for i in range(instances):
+        world = feasible_world(rt, seed + 1000 * i + 1, WorldParams())
+        ep_seed = seed + 1000 * i + 7
+        dyn, base = (run_episode(world, rt, mode=mode, seed=ep_seed, max_steps=max_steps)
                      for mode in ("dynamic", "pure-online"))
         rows.append(BenchRow(
             instance_id=i,

@@ -26,7 +26,7 @@ from .errors import (
     PointOutOfDomain,
     UniverseMismatch,
 )
-from .navsim import WorldParams, feasible_world, load_world, run_episode
+from .navsim import MODES, WorldParams, feasible_world, load_world, run_episode
 from .shield import compose, load_bank, save_bank, shield_apply
 
 _ERRORS = (
@@ -35,12 +35,12 @@ _ERRORS = (
 )
 
 
-def _add_common(p, with_mode=False):
+def _add_common(p, seed=True, out=True):
     p.add_argument("--grid-preset", choices=sorted(bench_mod.GRID_PRESETS), default="coarse")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
-    if with_mode:
-        p.add_argument("--mode", choices=["dynamic", "pure-online", "unshielded"], default="dynamic")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if out:
+        p.add_argument("--out", default=".")
 
 
 def _out_dir(args):
@@ -66,7 +66,7 @@ def cmd_run(args):
     # (`feasible_world`) composes with one
     world = load_world(args.world) if args.world else None
     with_bank = args.mode != "unshielded" or world is None
-    rt = bench_mod.build_runtime(args.grid_preset, cache_dir=out, with_bank=with_bank)
+    rt = bench_mod.build_runtime(args.grid_preset, with_bank=with_bank)
     if world is None:
         world = feasible_world(rt, args.seed + 1, WorldParams())
     trace = run_episode(world, rt, mode=args.mode, seed=args.seed, max_steps=args.max_steps)
@@ -79,11 +79,8 @@ def cmd_run(args):
 
 def cmd_bench(args):
     out = _out_dir(args)
-    cfg = bench_mod.BenchConfig(
-        preset=args.grid_preset, instances=args.instances, seed=args.seed,
-        max_steps=args.max_steps,
-    )
-    rows = bench_mod.run_bench(cfg, bench_mod.build_runtime(args.grid_preset, cache_dir=out))
+    rows = bench_mod.run_bench(bench_mod.build_runtime(args.grid_preset), instances=args.instances,
+                               seed=args.seed, max_steps=args.max_steps)
     path = os.path.join(out, f"results_{args.grid_preset}.csv")
     bench_mod.emit_results(rows, path)
     unsafe = sum(1 for r in rows if not r.safe)
@@ -105,7 +102,7 @@ def cmd_query(args):
     if args.bank:
         bank = load_bank(args.bank, build_abstraction(cfg.grid, cfg.inputs, cfg.params))
     else:
-        bank = bench_mod.build_runtime(args.grid_preset, cache_dir=_out_dir(args)).bank
+        bank = bench_mod.build_runtime(args.grid_preset).bank
     active = [int(t) for t in args.active.split(",")] if args.active else [0]
     if 0 not in active:
         active = [0] + active
@@ -125,11 +122,12 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("synth-bank", help="offline phase: synthesize the atomic-shield bank")
-    _add_common(ps)
+    _add_common(ps, seed=False)
     ps.set_defaults(fn=cmd_synth_bank)
 
     pr = sub.add_parser("run", help="run one navigation episode")
-    _add_common(pr, with_mode=True)
+    _add_common(pr)
+    pr.add_argument("--mode", choices=MODES, default="dynamic")
     pr.add_argument("--world", default=None, help="world file (default: random from seed)")
     pr.add_argument("--max-steps", type=int, default=200)
     pr.set_defaults(fn=cmd_run)
@@ -146,8 +144,8 @@ def make_parser():
     po.set_defaults(fn=cmd_verify_oracle)
 
     pq = sub.add_parser("query", help="one shield decision for a cell and proposed input")
-    _add_common(pq)
-    pq.add_argument("--bank", default=None, help="bank file (default: the bank cached in --out)")
+    _add_common(pq, seed=False, out=False)
+    pq.add_argument("--bank", default=None, help="bank file (default: synthesize the preset's bank)")
     pq.add_argument("--active", default="", help="comma-separated atomic ids (fence id 0 is implied)")
     pq.add_argument("--cell", required=True, help="cell multi-index, e.g. 13,13,10")
     pq.add_argument("--propose", required=True, help="proposed input, e.g. 0.4,0.0")

@@ -278,16 +278,16 @@ def scripted_controller(pose, goal, cfg: SensingConfig):
 @dataclass
 class NavRuntime:
     """Everything the episode loop needs for one shield configuration, as
-    assembled by `parashield.bench.build_runtime`; `bank` is None when it was
-    built without one, for an unshielded episode."""
+    assembled by `parashield.bench.build_runtime`; the atomic safe sets are
+    `bank.safes`, and `bank` is None when it was built without one, for an
+    unshielded episode."""
 
     cfg: SensingConfig
     sys: BoxedAbstraction
     layout: ColumnLayout
-    atomics: StateSets
     bank: AtomicShieldBank | None
     abstraction_seconds: float
-    bank_seconds: float    # synthesis, or loading when the bank was cached
+    bank_seconds: float    # synthesis
 
 
 @dataclass
@@ -378,26 +378,21 @@ def run_episode(world: WorldMap, rt: NavRuntime, mode="dynamic", seed=0,
             shield = compose(rt.bank, snap.active)
             dt = time.perf_counter() - t0
         elif mode == "pure-online":
-            sets = [rt.atomics[i] for i in snap.active]
+            sets = [rt.bank.safes[i] for i in snap.active]
             t0 = time.perf_counter()
             shield = pure_online_shield(rt.sys, sets)
             dt = time.perf_counter() - t0
 
         proposed = scripted_controller(pose, world.goal, cfg)
         cell = frame_cell(pose, cfg.grid)
-        in_domain = True
         if shield is not None:
-            in_domain = bool(shield.table.defined[cell])
-            if not in_domain:
+            try:
+                decision = shield_apply(shield, cell, proposed)
+            except DomainViolation:    # outside the domain, or a blocking state
                 trace.steps.append(StepRecord(
                     step, pose[0], pose[1], pose[2], cell, len(snap.active),
                     float(proposed[0]), float(proposed[1]), float("nan"), float("nan"),
                     False, False, dt, 0.0, 0.0, 0.0))
-                trace.status = "domain-violation"
-                return trace
-            try:
-                decision = shield_apply(shield, cell, proposed)
-            except DomainViolation:
                 trace.status = "domain-violation"
                 return trace
             chosen = decision.u
@@ -411,7 +406,7 @@ def run_episode(world: WorldMap, rt: NavRuntime, mode="dynamic", seed=0,
         trace.steps.append(StepRecord(
             step, pose[0], pose[1], pose[2], cell, len(snap.active),
             float(proposed[0]), float(proposed[1]), float(chosen[0]), float(chosen[1]),
-            intervened, in_domain, dt, float(w[0]), float(w[1]), float(w[2])))
+            intervened, True, dt, float(w[0]), float(w[1]), float(w[2])))
         pose = nxt
         if _collides(world, pose[0], pose[1]):
             trace.status = "collision"

@@ -30,7 +30,6 @@ from .synthesis import (
     _rows,
     controller_equal,
     safety_control,
-    universe_controller,
 )
 
 logger = logging.getLogger(__name__)
@@ -57,24 +56,22 @@ class Shield:
 class AtomicShieldBank:
     """One maximally permissive controller per atomic safe set.
 
-    Every table is stored as a sparse diff against one base controller that
-    all of them are sub-controllers of: a designated base atomic (the
-    navigation bank's fence; the others are below it by monotonicity of
-    safety games under shrinking safe sets) or, without one, the universe
-    controller that allows every input not leaving the grid.  Composition
-    then copies the base once and ANDs in a few thousand whole rows instead
-    of streaming every full table.  The diffs of all atomics are concatenated:
-    atomic i owns rows `ptr[i]:ptr[i + 1]` of `idx` (states, strictly
-    ascending within each atomic) and `masks`.  Atomic tables are nonblocking
-    on their domains, so a diff row leaves the domain exactly when its mask
-    is empty; the states of those rows are `undefined[uptr[i]:uptr[i + 1]]`.
-    The safe sets are one `StateSets`; a plain iterable of them is stored
-    against the full set.
+    The safe sets are one `StateSets`, and every table is stored as a sparse
+    diff against the controller of their reference set: every safe set lies
+    inside it, so every table is a sub-controller of it by monotonicity of
+    safety games under shrinking safe sets.  In the navigation bank that base
+    is the fence atomic.  Composition then copies the base once and ANDs in a
+    few thousand whole rows instead of streaming every full table.  The diffs
+    of all atomics are concatenated: atomic i owns rows `ptr[i]:ptr[i + 1]`
+    of `idx` (states, strictly ascending within each atomic) and `masks`.
+    The base and the atomic tables are nonblocking on their domains, so a row
+    is in the domain exactly when its mask is not empty; the states of the
+    diff rows that leave it are `undefined[uptr[i]:uptr[i + 1]]`.
     """
 
-    def __init__(self, sys, safes, base, ptr, idx, masks):
+    def __init__(self, sys, safes: StateSets, base, ptr, idx, masks):
         self.sys = sys
-        self.safes = safes if isinstance(safes, StateSets) else StateSets.encode(safes, StateSet.full(sys.n_states))
+        self.safes = safes
         self.n_atomics = len(self.safes)
         self.base = base
         self.ptr = ptr
@@ -118,18 +115,18 @@ class AtomicShieldBank:
 def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     """Offline phase: one safety-controller synthesis per atomic safe set.
 
-    The base is the controller of atomic `base_id`, or the universe
-    controller without one.  `atomics` is a `StateSets` or a plain iterable
-    of `StateSet`s, which is stored against the base atomic's safe set, or
-    the full set without one.  Every safe set must lie inside the base's (the
-    encoding raises a ValueError naming the first atomic that leaves it
-    before anything is synthesized), so every run starts from the base's fixed
-    point (shorter descent, same result; from the universe controller it is
-    exactly the cold start) and its table is a sub-controller of the base.
-    All runs share one work copy of the base: its states that are unsafe or
-    have no input leave the domain, `_narrow` runs from there and records
-    the rows it writes, the rows among those that differ from the base are
-    the diff, and copying them back from the base restores the work table.
+    `atomics` is a `StateSets` or a plain iterable of `StateSet`s; the sets
+    are stored against the safe set of atomic `base_id`, or without one
+    against a sequence's reference set or the full set.  The base is the
+    controller of that reference set, so it is nonblocking.  Every safe set
+    must lie inside it (the encoding raises a ValueError naming the first
+    atomic that leaves it before anything is synthesized), so every run
+    starts from the base's fixed point (shorter descent, same result) and its
+    table is a sub-controller of the base.  All runs share one work copy of
+    the base: its unsafe states leave the domain, `_narrow` runs from there
+    and records the rows it writes, the rows among those whose masks differ
+    from the base's are the diff, and copying them back from the base
+    restores the work table.
     A run costs in proportion to the rows it touches, not to the grid, and
     only the base and the work table are alive.  Progress goes to this
     module's logger: one DEBUG record per atomic, whose `atomic`, `atomics`
@@ -142,23 +139,23 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
         # the base atomic lacks states of the reference: encoding against
         # its set checks every set against it
         atomics = StateSets.encode(atomics, atomics[base_id])
-    base = universe_controller(sys) if base_id is None else safety_control(sys, SafetySpec(atomics[base_id]))
+    base = safety_control(sys, SafetySpec(StateSet(atomics.ref)))
     work = base.copy()
     base_rows, work_rows = _rows(base.masks), _rows(work.masks)
-    blocking = base.blocking().mask
 
     def warm_delta(i):
         touched = []
-        _narrow(sys, work, base.defined & ~atomics[i].mask | blocking, touched=touched)
+        _narrow(sys, work, base.defined & ~atomics[i].mask, touched=touched)
         # several sweeps can write one row; the diff lists it once, ascending
         rows = np.sort(np.concatenate(touched))
         first = np.ones(rows.size, dtype=bool)
         first[1:] = rows[1:] != rows[:-1]
         rows = rows[first]
         now, was = work_rows[rows], base_rows[rows]
-        changed = (work.defined[rows] != base.defined[rows]) | (now != was)
+        # both tables are nonblocking, so a row's mask also gives its domain bit
+        changed = now != was
         rows, now, was = rows[changed], now[changed], was[changed]
-        if np.any(work.defined[rows] & ~base.defined[rows]) or np.any(now.view(np.uint64) & ~was.view(np.uint64)):
+        if np.any(now.view(np.uint64) & ~was.view(np.uint64)):
             raise ValueError(f"atomic {i} is not a sub-controller of the base; delta storage is invalid")
         work_rows[rows], work.defined[rows] = was, base.defined[rows]
         logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), len(rows),
@@ -222,8 +219,7 @@ def shield_apply(shield: Shield, cell, proposed) -> ShieldDecision:
 
 _BANK_DTYPES = {
     "safe_ref": np.uint8, "safe_ptr": np.int64, "safe_idx": np.int64,
-    "base_defined": np.uint8, "base_masks": np.uint64,
-    "ptr": np.int64, "idx": np.int64, "masks": np.uint64,
+    "base_masks": np.uint64, "ptr": np.int64, "idx": np.int64, "masks": np.uint64,
 }
 
 
@@ -235,7 +231,6 @@ def save_bank(bank: AtomicShieldBank, path):
         "safe_ref": np.packbits(bank.safes.ref),
         "safe_ptr": bank.safes.ptr,
         "safe_idx": bank.safes.idx,
-        "base_defined": np.packbits(bank.base.defined),
         "base_masks": bank.base.masks,
         "ptr": bank.ptr,
         "idx": bank.idx,
@@ -267,8 +262,7 @@ def load_bank(path, sys, spot_check=1) -> AtomicShieldBank:
     ptr, idx = a["ptr"], a["idx"]
     n_atomics, k = ptr.size - 1, idx.size
     shapes = {"safe_ref": ((n + 7) // 8,), "safe_ptr": (n_atomics + 1,), "safe_idx": (a["safe_idx"].size,),
-              "base_defined": ((n + 7) // 8,), "base_masks": (n, words),
-              "ptr": (n_atomics + 1,), "idx": (k,), "masks": (k, words)}
+              "base_masks": (n, words), "ptr": (n_atomics + 1,), "idx": (k,), "masks": (k, words)}
     for name, shape in shapes.items():
         if a[name].shape != shape:
             raise ValueError(f"{path}: {name} has shape {a[name].shape}, expected {shape}")
@@ -280,7 +274,8 @@ def load_bank(path, sys, spot_check=1) -> AtomicShieldBank:
     safe_ref = np.unpackbits(a["safe_ref"], count=n).view(bool)
     if not np.all(safe_ref[a["safe_idx"]]):
         raise ValueError(f"{path}: a safe set lacks a state outside the reference set")
-    base = ControllerTable(n, sys.n_inputs, np.unpackbits(a["base_defined"], count=n).view(bool), a["base_masks"])
+    # the base is nonblocking: its domain is its rows with an input
+    base = ControllerTable(n, sys.n_inputs, ~_empty_rows(a["base_masks"]), a["base_masks"])
     bank = AtomicShieldBank(sys, StateSets(safe_ref, a["safe_ptr"], a["safe_idx"]), base, ptr, idx, a["masks"])
     for i in np.random.default_rng().choice(n_atomics, size=min(spot_check, n_atomics), replace=False):
         fresh = safety_control(sys, SafetySpec(bank.safes[int(i)]))

@@ -1,11 +1,6 @@
 """Shared fixtures: the 7-state golden automaton and per-preset navigation
-runtimes.  `build_runtime` caches the banks on disk keyed by preset, the
-abstraction's content hash and a digest of the parashield sources, so
-repeated test runs skip the offline synthesis and a changed program never
-loads a bank an older one built."""
-
-import os
-import pathlib
+runtimes, each built once per session by `build_runtime` (bank synthesis
+takes about a second on the fine preset)."""
 
 import numpy as np
 import pytest
@@ -13,9 +8,6 @@ import pytest
 from parashield.abstraction import ExplicitAbstraction
 from parashield.bench import build_runtime
 from parashield.synthesis import StateSet
-
-CACHE_DIR = pathlib.Path(os.environ.get("PARASHIELD_TEST_CACHE",
-                                        pathlib.Path.home() / ".cache" / "parashield-tests"))
 
 
 def branching_post_map():
@@ -41,17 +33,17 @@ def automaton7():
 
 @pytest.fixture(scope="session")
 def coarse_rt():
-    return build_runtime("coarse", cache_dir=CACHE_DIR)
+    return build_runtime("coarse")
 
 
 @pytest.fixture(scope="session")
 def medium_rt():
-    return build_runtime("medium", cache_dir=CACHE_DIR)
+    return build_runtime("medium")
 
 
 @pytest.fixture(scope="session")
 def fine_rt():
-    return build_runtime("fine", cache_dir=CACHE_DIR)
+    return build_runtime("fine")
 
 
 @pytest.fixture

@@ -134,7 +134,7 @@ def test_criterion_4_timing_ordering(fine_rt):
 def test_criterion_5_offline_scale_and_online_budget():
     """Coarse offline phase under 30 minutes; per-step compose under 5 s mean."""
     rt = build_runtime("coarse")
-    assert len(rt.atomics) == 401
+    assert len(rt.bank.safes) == 401
     t_abs, t_synth = rt.abstraction_seconds, rt.bank_seconds
     assert t_abs + t_synth < 1800.0
 
@@ -238,7 +238,7 @@ class TestCriterion6Properties:
             for _ in range(5):
                 snap = sense(world, pose, coarse_rt.cfg, coarse_rt.layout)
                 dyn = compose(coarse_rt.bank, snap.active)
-                pon = pure_online_shield(coarse_rt.sys, [coarse_rt.atomics[j] for j in snap.active])
+                pon = pure_online_shield(coarse_rt.sys, [coarse_rt.bank.safes[j] for j in snap.active])
                 assert controller_equal(dyn.table, pon.table)
                 pose = (pose[0] + rng.uniform(-0.2, 0.2), pose[1] + rng.uniform(-0.2, 0.2), rng.uniform(-3, 3))
                 count += 1

@@ -2,11 +2,9 @@ import csv
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from parashield.bench import (
-    BenchConfig,
     BenchRow,
     GRID_PRESETS,
     RESULT_HEADER,
@@ -45,82 +43,20 @@ class TestEmitResults:
         assert not path.exists()
 
 
-class TestBenchConfig:
+class TestPresets:
     def test_presets_match_protocol(self):
         assert GRID_PRESETS["coarse"] == (0.10, 0.10, 0.30)
         assert GRID_PRESETS["medium"] == (0.08, 0.08, 0.25)
         assert GRID_PRESETS["fine"] == (0.06, 0.06, 0.20)
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError):
-            BenchConfig(preset="ultra")
-
-
-class TestBankCache:
-    def test_a_new_bank_drops_the_presets_stale_files(self, tmp_path):
-        stale = tmp_path / "bank_coarse_0123456789abcdef_0123456789abcdef.pshb"
-        kept = [tmp_path / "bank_medium_0123456789abcdef_0123456789abcdef.pshb",
-                tmp_path / "bank_coarse.pshb"]
-        for path in [stale] + kept:
-            path.write_bytes(b"built by other sources")
-        build_runtime("coarse", cache_dir=tmp_path)
-        assert not stale.exists()
-        assert all(path.exists() for path in kept)
-        (fresh,) = tmp_path.glob("bank_coarse_*.pshb")
-        assert fresh.stat().st_size > 1000
-
-    def test_a_bank_in_the_old_layout_is_rebuilt(self, tmp_path, coarse_rt, monkeypatch):
-        # earlier files also stored each diff row's domain bit ("defined")
-        def old(members):
-            members["defined"] = np.packbits(members["masks"].any(axis=1))
-        self.check_rebuilt(tmp_path, coarse_rt, monkeypatch, old, "defined")
-
-    def test_a_bank_with_dense_safe_sets_is_rebuilt(self, tmp_path, coarse_rt, monkeypatch):
-        # earlier files stored every safe set as one packed row ("safes")
-        def old(members):
-            for name in ("safe_ref", "safe_ptr", "safe_idx"):
-                del members[name]
-            members["safes"] = np.array([np.packbits(s.mask) for s in coarse_rt.atomics])
-        self.check_rebuilt(tmp_path, coarse_rt, monkeypatch, old, "safes")
-
-    @staticmethod
-    def check_rebuilt(tmp_path, coarse_rt, monkeypatch, old, member):
-        """`build_runtime` synthesizes a bank whose file `old` rewrote into
-        an earlier layout with `member` once, and the file it writes back
-        loads without synthesis."""
-        import parashield.bench as bench_mod
-        from parashield.shield import save_bank
-        bank = coarse_rt.bank
-        path = tmp_path / f"bank_coarse_{coarse_rt.sys.content_hash[:16]}_{bench_mod._source_digest()[:16]}.pshb"
-        save_bank(bank, path)
-        with np.load(path) as z:
-            members = {k: z[k] for k in z.files}
-        old(members)
-        with open(path, "wb") as f:
-            np.savez(f, **members)
-        calls = []
-        inner = bench_mod.synthesize_bank
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(bench_mod, "synthesize_bank", counting)
-        rebuilt = build_runtime("coarse", cache_dir=tmp_path).bank
-        assert calls == [1]
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        for name in ("ptr", "idx", "masks"):
-            assert np.array_equal(getattr(rebuilt, name), getattr(bank, name))
-        with np.load(path) as z:
-            assert member not in z.files
-        build_runtime("coarse", cache_dir=tmp_path)
-        assert calls == [1]
+        with pytest.raises(ValueError, match="unknown preset"):
+            build_runtime("ultra")
 
 
 class TestRunBench:
     def test_small_protocol_run(self, coarse_rt, tmp_path):
-        cfg = BenchConfig(preset="coarse", instances=2, seed=11, max_steps=40)
-        rows = run_bench(cfg, rt=coarse_rt)
+        rows = run_bench(coarse_rt, instances=2, seed=11, max_steps=40)
         assert len(rows) == 2
         assert all(r.safe for r in rows)
         assert all(r.avg_computationAdaptive > 0 for r in rows)
@@ -128,9 +64,8 @@ class TestRunBench:
         emit_results(rows, tmp_path / "r.csv")
 
     def test_reproducible_apart_from_timings(self, coarse_rt):
-        cfg = BenchConfig(preset="coarse", instances=2, seed=5, max_steps=30)
-        a = run_bench(cfg, rt=coarse_rt)
-        b = run_bench(cfg, rt=coarse_rt)
+        a = run_bench(coarse_rt, instances=2, seed=5, max_steps=30)
+        b = run_bench(coarse_rt, instances=2, seed=5, max_steps=30)
         for ra, rb in zip(a, b):
             assert (ra.instance_id, ra.steps, ra.interventions, ra.safe) == \
                    (rb.instance_id, rb.steps, rb.interventions, rb.safe)
@@ -170,28 +105,7 @@ class TestCli:
         assert len(traces) == 1
         header = traces[0].read_text().splitlines()[0]
         assert header.startswith("step,x,y,theta,cell")
-
-    def test_runs_share_the_bank_cached_in_out(self, tmp_path, monkeypatch):
-        import parashield.bench as bench_mod
-        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
-        calls = []
-        inner = bench_mod.synthesize_bank
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].content_hash)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(bench_mod, "synthesize_bank", counting)
-        argv = ["run", "--grid-preset", "coarse", "--seed", "4", "--max-steps", "5", "--out", str(tmp_path)]
-        assert cli_main(argv) == 0
-        assert cli_main(argv) == 0
-        assert len(calls) == 1
-        # a damaged cache file is deleted and rebuilt
-        (bank,) = tmp_path.glob("bank_coarse_*.pshb")
-        size = bank.stat().st_size
-        bank.write_bytes(bank.read_bytes()[:size // 2])
-        assert cli_main(argv) == 0
-        assert len(calls) == 2 and bank.stat().st_size == size
+        assert not list(tmp_path.glob("*.pshb*"))
 
     def test_unshielded_run_in_a_world_file_needs_no_bank(self, tmp_path, monkeypatch):
         import parashield.bench as bench_mod
@@ -202,7 +116,6 @@ class TestCli:
             raise AssertionError("an unshielded episode reads no bank")
 
         monkeypatch.setattr(bench_mod, "synthesize_bank", no_bank)
-        monkeypatch.setattr(bench_mod, "load_bank", no_bank)
         world = tmp_path / "world.txt"
         save_world(random_world(5, WorldParams()), world)
         out = tmp_path / "out"
@@ -253,6 +166,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "chosen=" in out and "intervened=" in out
 
+    @pytest.mark.parametrize("flag", [["--out", "out"], ["--seed", "3"]], ids=["out", "seed"])
+    def test_query_refuses_flags_it_does_not_read(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["query", "--grid-preset", "coarse", "--cell", "13,13,10", "--propose", "0.4,0.0"] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_synth_bank_refuses_a_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["synth-bank", "--seed", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bench_subcommand_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PARASHIELD_OUT", raising=False)
         rc = cli_main(["bench", "--grid-preset", "coarse", "--instances", "1",
@@ -263,6 +190,7 @@ class TestCli:
         assert lines[0] == RESULT_HEADER
         assert len(lines) == 2
         assert lines[1].endswith("True")
+        assert not list(tmp_path.glob("*.pshb*"))
 
     def test_synth_bank_prints_phase_durations(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PARASHIELD_OUT", raising=False)

@@ -128,9 +128,9 @@ class TestAtomics:
         assert [s for s in atomics][7] == atomics[7] and sum(1 for _ in atomics) == n
 
     def test_fine_safe_sets_hold_under_a_megabyte(self, fine_rt):
-        for sets in (fine_rt.atomics, fine_rt.bank.safes):
-            assert len(sets) == 1090
-            assert sets.ref.nbytes + sets.ptr.nbytes + sets.idx.nbytes < 2 ** 20
+        sets = fine_rt.bank.safes
+        assert len(sets) == 1090
+        assert sets.ref.nbytes + sets.ptr.nbytes + sets.idx.nbytes < 2 ** 20
 
     def test_interior_ids_are_bijective(self, coarse_cfg):
         layout = ColumnLayout(coarse_cfg.grid, coarse_cfg.d)
@@ -313,6 +313,26 @@ class TestEpisodes:
         s0, b0 = tr.steps[-1], back.steps[-1]
         assert (s0.x, s0.y, s0.theta) == (b0.x, b0.y, b0.theta)
         assert s0.intervened == b0.intervened
+
+    @pytest.mark.parametrize("defined", [True, False], ids=["blocking", "outside"])
+    def test_a_cell_without_an_input_is_one_domain_violation_record(self, coarse_rt, monkeypatch, defined):
+        # a shield with no input at the robot's cell, blocking there or
+        # outside its domain, ends the episode with that step recorded
+        import parashield.navsim as navsim_mod
+
+        def no_input(bank, active):
+            shield = compose(bank, active)
+            shield.table.masks[:] = 0
+            shield.table.defined[:] = defined
+            return shield
+
+        monkeypatch.setattr(navsim_mod, "compose", no_input)
+        tr = run_episode(wall_world(), coarse_rt, mode="dynamic", seed=0, max_steps=20)
+        assert tr.status == "domain-violation"
+        (rec,) = tr.steps
+        assert not rec.in_domain and not rec.intervened
+        assert np.isnan(rec.chosen_v) and np.isnan(rec.chosen_a)
+        assert not check_handover(tr)
 
     def test_invalid_mode_rejected(self, coarse_rt):
         with pytest.raises(ValueError):

@@ -72,16 +72,18 @@ class TestSynthesizeBank:
         assert all(len(t.allowed_indices(x)) == 2 for x in range(7))
 
     def test_delta_storage_matches_dense(self, rng):
-        # diffs against the universe controller and against a base atomic
-        # both reproduce cold synthesis of every atomic
+        # diffs against the controller of the full set and against a base
+        # atomic both reproduce cold synthesis of every atomic
         sysm = random_system(rng, max_states=40)
         base = random_state_set(rng, sysm.n_states, density=0.95)
         atomics = [base] + [base & random_state_set(rng, sysm.n_states) for _ in range(4)]
-        universe = synthesize_bank(sysm, atomics)
+        full = synthesize_bank(sysm, atomics)
         fence = synthesize_bank(sysm, atomics, base_id=0)
+        assert controller_equal(full.base, safety_control(sysm, SafetySpec(StateSet.full(sysm.n_states))))
+        assert controller_equal(fence.base, safety_control(sysm, SafetySpec(base)))
         for i in range(len(atomics)):
             cold = safety_control(sysm, SafetySpec(atomics[i]))
-            assert controller_equal(universe.table(i), cold)
+            assert controller_equal(full.table(i), cold)
             assert controller_equal(fence.table(i), cold)
 
     def test_diffs_do_not_depend_on_atomic_order(self, rng):
@@ -104,6 +106,10 @@ class TestSynthesizeBank:
             other = synthesize_bank(sysm, [atomics[i] for i in order],
                                     base_id=None if base_id is None else int(np.flatnonzero(order == 0)[0]))
             assert controller_equal(bank.base, other.base)
+            # the base is the controller of the reference set, never blocking
+            ref = StateSet.full(n) if base_id is None else base
+            assert controller_equal(bank.base, safety_control(sysm, SafetySpec(ref)))
+            assert len(bank.base.blocking()) == 0
             diffs = bank_diffs(bank)
             for k, d in enumerate(bank_diffs(other)):
                 assert_same_diff(diffs[order[k]], d)
@@ -120,7 +126,7 @@ class TestSynthesizeBank:
         full = bank_diffs(coarse_rt.bank)
         ids = [0] + sorted(int(i) for i in rng.choice(np.arange(1, len(full)), size=24, replace=False))
         order = rng.permutation(len(ids))
-        bank = synthesize_bank(coarse_rt.sys, [coarse_rt.atomics[ids[k]] for k in order],
+        bank = synthesize_bank(coarse_rt.sys, [coarse_rt.bank.safes[ids[k]] for k in order],
                                base_id=int(np.flatnonzero(order == 0)[0]))
         assert controller_equal(bank.base, coarse_rt.bank.base)
         for k, d in enumerate(bank_diffs(bank)):
@@ -129,7 +135,7 @@ class TestSynthesizeBank:
     def test_plain_list_stores_the_same_sets_and_tables(self, coarse_rt):
         # a list is stored against the base atomic's safe set, which is the
         # reference `make_atomics` stores its sequence against
-        atomics = coarse_rt.atomics
+        atomics = coarse_rt.bank.safes
         from_list = synthesize_bank(coarse_rt.sys, [atomics[i] for i in range(len(atomics))], base_id=0)
         from_seq = synthesize_bank(coarse_rt.sys, atomics, base_id=0)
         assert from_seq.safes is atomics
@@ -251,7 +257,7 @@ class TestCompose:
         sub = base.masks[[3, 5, 5, 9]] & rng.integers(0, 2 ** 64, size=(4, 2), dtype=np.uint64)
         sub[3] = 0
         assert sub[:3].any(axis=1).all() and not np.array_equal(sub[1], sub[2])
-        safes = [StateSet.full(12), StateSet.full(12)]
+        safes = StateSets.encode([StateSet.full(12), StateSet.full(12)], StateSet.full(12))
         bank = AtomicShieldBank(sysm, safes, base, np.array([0, 2, 4]), np.array([3, 5, 5, 9]), sub.copy())
         assert np.array_equal(bank.undefined, [9]) and np.array_equal(bank.uptr, [0, 0, 1])
         raw = bank.raw_product([0, 1])
@@ -277,8 +283,8 @@ class TestCompose:
         other = AtomicShieldBank(sysm, bank.safes, base, bank.ptr, bank.idx, bank.masks)
         assert controller_equal(compose(other, range(3)).table, compose(bank, range(3)).table)
         # the narrowing loop updates the rows of the table it is given: from
-        # the universe base narrowed to atomic 0's safe set, as synthesis
-        # does, both layouts reach atomic 0's table
+        # the base narrowed to atomic 0's safe set, as synthesis does, both
+        # layouts reach atomic 0's table
         for table in (base, bank.base.copy()):
             table.masks[~bank.safes[0].mask] = 0
             assert controller_equal(_narrow(sysm, table, table.blocking().mask), bank.table(0))
@@ -427,7 +433,8 @@ class TestBankSerialization:
         b = automaton7_bank
         path = tmp_path / "bank.pshb"
         # each table stored under the other atomic's safe set
-        tampered = AtomicShieldBank(sysm, list(b.safes)[::-1], b.base, b.ptr, b.idx, b.masks)
+        swapped = StateSets.encode(list(b.safes)[::-1], StateSet.full(7))
+        tampered = AtomicShieldBank(sysm, swapped, b.base, b.ptr, b.idx, b.masks)
         save_bank(tampered, path)
         with pytest.raises(AbstractionMismatch):
             load_bank(path, sysm, spot_check=2)
@@ -513,8 +520,8 @@ def _idx_repeated(m, n):
 
 
 class TestMalformedBank:
-    """Every damaged or foreign container is a ValueError, so a cache can
-    tell it from a program error and rebuild the file."""
+    """Every damaged or foreign container is a ValueError, which a caller
+    can tell from a program error."""
 
     @pytest.fixture
     def bank_file(self, tmp_path):
