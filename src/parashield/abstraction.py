@@ -25,6 +25,7 @@ a few states.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -350,7 +351,9 @@ class BoxedAbstraction:
     The words path builds each block cell's word with S = sum_d (2R_d + 1)
     shifted ORs, one per offset along each axis; `pair_hits` takes the
     predecessor path when |members| * K is at most the number of cells of
-    the words block times S, and the words path otherwise.
+    the words block times S, and the words path otherwise.  No block has
+    fewer cells than the one around a single column at a corner, so sets
+    small enough to pass against that floor skip measuring their block.
     """
 
     def __init__(self, grid: GridSpec, inputs: InputGrid, params: DubinsParams, offsets):
@@ -375,6 +378,12 @@ class BoxedAbstraction:
         self.reach_radius = np.minimum(np.abs(offsets).max(axis=(0, 1, 3)),
                                        np.where(grid.periodic, shape // 2, shape - 1))
         self._word_ors = int(np.sum(2 * self.reach_radius + 1))
+        # no words block is smaller than one around a single corner column,
+        # so up to this many (state, offset) pairs the predecessors answer
+        # without the block being measured
+        rx, ry, rt = self.reach_radius.tolist()
+        self._scatter_floor = ((min(rx + 1, nx) + 2 * rx) * (min(ry + 1, ny) + 2 * ry) * (nt + 2 * rt)
+                               * self._word_ors)
         ox, oy, ot = (o.ravel() for o in np.meshgrid(
             *[np.arange(-r, r + 1) for r in self.reach_radius], indexing="ij"))
         lo = offsets[..., 0, None]
@@ -507,8 +516,8 @@ class BoxedAbstraction:
         if idx.size == 0:
             return idx, np.zeros((0, len(self._pred_masks)), dtype=np.uint64)
         cells = np.unravel_index(idx, self.grid.shape)
-        bx, by, bt = self._word_block(cells[0], cells[1])[-1]
-        if idx.size * self._pred_cols.shape[1] <= bx * by * bt * self._word_ors:
+        pairs = idx.size * self._pred_cols.shape[1]
+        if pairs <= self._scatter_floor or pairs <= math.prod(self._word_block(*cells[:2])[-1]) * self._word_ors:
             rows, hits = self._scatter_hits(cells, within)
         else:
             rows, hits = self._word_hits(cells, within)

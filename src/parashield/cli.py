@@ -52,19 +52,22 @@ def _out_dir(args):
 def cmd_synth_bank(args):
     out = _out_dir(args)
     rt = bench_mod.build_runtime(args.grid_preset)
+    bank = rt.bank
     path = os.path.join(out, f"bank_{args.grid_preset}.pshb")
-    save_bank(rt.bank, path)
+    save_bank(bank, path)
     print(f"Abstraction: {rt.abstraction_seconds:.2f} s")
-    print(f"Synthesis: {rt.bank_seconds:.2f} s ({rt.bank.n_atomics} atomic controllers) -> {path}")
+    print(f"Synthesis: {rt.bank_seconds:.2f} s ({bank.n_atomics} atomic controllers) -> {path}")
+    print(f"Bank: {os.path.getsize(path)} bytes, {np.count_nonzero(bank.on_template)} of {bank.n_atomics} "
+          f"atomics on the template, {bank.idx.size} exception rows")
     return 0
 
 
 def cmd_run(args):
-    out = _out_dir(args)
-    # a bad world file is refused before any bank is built; an unshielded
-    # episode reads no bank, but choosing its world without a file
-    # (`feasible_world`) composes with one
+    # a bad world file is refused before any bank is built or any directory
+    # made; an unshielded episode reads no bank, but choosing its world
+    # without a file (`feasible_world`) composes with one
     world = load_world(args.world) if args.world else None
+    out = _out_dir(args)
     with_bank = args.mode != "unshielded" or world is None
     rt = bench_mod.build_runtime(args.grid_preset, with_bank=with_bank)
     if world is None:
@@ -104,6 +107,9 @@ def cmd_query(args):
     else:
         bank = bench_mod.build_runtime(args.grid_preset).bank
     active = [int(t) for t in args.active.split(",")] if args.active else [0]
+    for i in active:
+        if not 0 <= i < bank.n_atomics:
+            raise ValueError(f"atomic id {i} is outside [0, {bank.n_atomics})")
     if 0 not in active:
         active = [0] + active
     shield = compose(bank, active)

@@ -630,7 +630,7 @@ class TestNeighbourhoodWords:
         assert paths[0] == "_word_hits" and paths[-1] == "_scatter_hits"
         assert len(paths) == len(sizes) - 1
 
-    def test_dispatch_compares_estimated_work(self, coarse_pair, monkeypatch):
+    def test_dispatch_compares_estimated_work(self, coarse_pair, monkeypatch, rng):
         # one full x-y column in the middle of the grid: more (state, offset)
         # pairs than words-block cells B, but fewer than B times the S
         # shifted ORs that build each word, so the predecessors answer; the
@@ -653,6 +653,29 @@ class TestNeighbourhoodWords:
             paths.clear()
             boxed.pair_hits(removed)
             assert paths == [path]
+        # no words block has fewer cells than the one around a corner
+        # column; up to that floor times S over K states the predecessors
+        # answer without the block being measured, beyond it the full rule
+        # decides, and both pick the path the full rule picks
+        rx, ry, rt = boxed.reach_radius.tolist()
+        assert boxed._scatter_floor == (rx + 1 + 2 * rx) * (ry + 1 + 2 * ry) * (nt + 2 * rt) * s
+        floor = boxed._scatter_floor // k
+        assert floor == 97
+        block = boxed._word_block
+        corner = block(*np.unravel_index(np.arange(nt), boxed.grid.shape)[:2])[-1]
+        assert np.prod(corner) * s == boxed._scatter_floor
+        measured = []
+        monkeypatch.setattr(boxed, "_word_block", lambda xs, ys: measured.append(1) or block(xs, ys),
+                            raising=False)
+        for size in (floor, floor + 1):
+            for idx in (np.arange(size), np.sort(rng.choice(boxed.n_states, size=size, replace=False))):
+                cells = np.unravel_index(idx, boxed.grid.shape)
+                full = "_scatter_hits" if size * k <= np.prod(block(cells[0], cells[1])[-1]) * s else "_word_hits"
+                paths.clear()
+                measured.clear()
+                boxed.pair_hits(idx)
+                assert paths == [full]
+                assert len(measured) == (size > floor)
 
 
 class TestPackedHits:

@@ -144,6 +144,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ValueError: ") and problem in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_out_env_overrides_flag(self, tmp_path, monkeypatch, capsys):
         override = tmp_path / "env_out"
@@ -165,6 +166,17 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "chosen=" in out and "intervened=" in out
+
+    @pytest.mark.parametrize("atomic", ["5000", "-1"])
+    def test_query_refuses_an_atomic_id_out_of_range(self, tmp_path, coarse_rt, capsys, atomic):
+        from parashield.shield import save_bank
+        bank_path = tmp_path / "bank.pshb"
+        save_bank(coarse_rt.bank, bank_path)
+        rc = cli_main(["query", "--grid-preset", "coarse", "--bank", str(bank_path), f"--active={atomic}",
+                       "--cell", "13,13,10", "--propose", "0.4,0.0"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: ValueError: atomic id {atomic} is outside [0, 401)"]
 
     @pytest.mark.parametrize("flag", [["--out", "out"], ["--seed", "3"]], ids=["out", "seed"])
     def test_query_refuses_flags_it_does_not_read(self, capsys, flag):
@@ -198,4 +210,6 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Abstraction:" in out and "Synthesis:" in out
-        assert list(tmp_path.glob("bank_coarse.pshb"))
+        (path,) = tmp_path.glob("bank_coarse.pshb")
+        # every column atomic uses the template
+        assert f"\nBank: {path.stat().st_size} bytes, 400 of 401 atomics on the template, 73872 exception rows\n" in out

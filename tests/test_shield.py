@@ -12,6 +12,7 @@ from parashield.bench import (
 )
 from parashield.errors import AbstractionMismatch, DomainViolation, EmptyActiveSet
 from parashield.shield import (
+    NO_SHIFT,
     AtomicShieldBank,
     Shield,
     compose,
@@ -27,6 +28,7 @@ from parashield.synthesis import (
     StateSet,
     StateSets,
     _narrow,
+    _rows,
     closure_holds,
     controller_equal,
     safety_control,
@@ -42,9 +44,43 @@ def neighbour_system(rng, n, m, n_near=3):
     return ExplicitAbstraction(n, m, np.arange(0, 2 * n * m + 1, 2), succ.reshape(-1), np.zeros(n * m, dtype=bool))
 
 
+def line_system(rng, n, m, n_odd):
+    """States on a line: input u moves by a random range of offsets, OUT past
+    either end, except `n_odd` random pairs that move to random states."""
+    lo = rng.integers(-2, 2, size=m)
+    hi = lo + rng.integers(0, 2, size=m)
+    post, out = {}, []
+    for x in range(n):
+        for u in range(m):
+            if x + lo[u] < 0 or x + hi[u] >= n:
+                out.append((x, u))
+            else:
+                post[(x, u)] = range(x + lo[u], x + hi[u] + 1)
+    for x, u in zip(rng.integers(0, n, size=n_odd), rng.integers(0, m, size=n_odd)):
+        if (x, u) in post:
+            post[(x, u)] = rng.integers(0, n, size=2).tolist()
+    return ExplicitAbstraction.from_map(n, m, post, out)
+
+
 def bank_diffs(bank):
-    """Each atomic's stored (rows, masks)."""
-    return [(bank.idx[a:b], bank.masks[a:b]) for a, b in zip(bank.ptr[:-1], bank.ptr[1:])]
+    """Each atomic's (rows, masks) where its table differs from the base."""
+    diffs = []
+    for i in range(bank.n_atomics):
+        masks = bank.table(i).masks
+        rows = np.flatnonzero(_rows(masks) != _rows(bank.base.masks))
+        diffs.append((rows, masks[rows]))
+    return diffs
+
+
+def stored(bank):
+    """Everything a bank stores after its base: template, group size, shifts
+    and exception rows."""
+    return bank.tpl_rows, bank.tpl_masks, bank.group, bank.shift, bank.ptr, bank.idx, bank.masks
+
+
+def no_template(n_atomics, words):
+    """Template, group size and shifts of a bank without template users."""
+    return np.zeros(0, np.int64), np.zeros((0, words), np.uint64), 1, np.full(n_atomics, NO_SHIFT)
 
 
 def assert_same_diff(d1, d2):
@@ -118,6 +154,10 @@ class TestSynthesizeBank:
             rows, masks = diffs[2]
             assert np.array_equal(rows, np.flatnonzero(bank.base.defined))
             assert not np.any(masks)
+            # no other atomic lacks as many states, so atomic 2 stores its
+            # diff as exception rows
+            assert not bank.on_template[2]
+            assert np.array_equal(bank.idx[bank.ptr[2]:bank.ptr[3]], rows)
             assert np.array_equal(bank.undefined[bank.uptr[2]:bank.uptr[3]], rows)
             for i in range(len(atomics)):
                 assert controller_equal(bank.table(i), safety_control(sysm, SafetySpec(atomics[i])))
@@ -143,8 +183,8 @@ class TestSynthesizeBank:
         for name in ("ref", "ptr", "idx"):
             assert np.array_equal(getattr(from_list.safes, name), getattr(atomics, name))
         assert controller_equal(from_list.base, from_seq.base)
-        for name in ("ptr", "idx", "masks"):
-            assert np.array_equal(getattr(from_list, name), getattr(from_seq, name))
+        for x, y in zip(stored(from_list), stored(from_seq)):
+            assert np.array_equal(x, y)
         for i in range(len(atomics)):
             assert from_list.safes[i] == atomics[i]
             assert controller_equal(from_list.table(i), from_seq.table(i))
@@ -162,6 +202,41 @@ class TestSynthesizeBank:
         assert bank.safes[1] == inside
         assert controller_equal(bank.table(1), safety_control(sysm, SafetySpec(inside)))
 
+    def test_translated_atomics_share_a_template(self, rng):
+        # atomic k > 0 lacks states 2k - 2 and 2k - 1 of a line whose moves
+        # are the same everywhere but at the ends and at a few odd pairs: the
+        # atomics are flat translates, and near the ends and the odd pairs a
+        # table is no sub-controller of the base AND the moved template
+        refused = 0
+        for _ in range(10):
+            n = 60
+            sysm = line_system(rng, n, 5, 6)
+            atomics = [StateSet.full(n)] + [StateSet(np.arange(n) // 2 != k) for k in range(n // 2)]
+            bank = synthesize_bank(sysm, atomics)
+            (t,) = np.flatnonzero(bank.shift == 0)
+            assert bank.group == 2 and bank.tpl_rows.size and bank.on_template.sum() >= 2
+            assert bank.ptr[t + 1] == bank.ptr[t]
+            shift = 2 * (np.arange(len(atomics)) - t)
+            moved = (bank.tpl_rows[0] + shift >= 0) & (bank.tpl_rows[-1] + shift < n)
+            moved[0] = False
+            assert np.array_equal(bank.shift[bank.on_template], shift[bank.on_template])
+            assert not np.any(bank.on_template & ~moved)
+            refused += np.count_nonzero(moved & ~bank.on_template)
+            for i in range(len(atomics)):
+                assert controller_equal(bank.table(i), safety_control(sysm, SafetySpec(atomics[i])))
+        assert refused > 0
+
+    @pytest.mark.parametrize("preset", ["coarse", "medium"])
+    def test_every_table_equals_warm_synthesis(self, preset, request):
+        rt = request.getfixturevalue(f"{preset}_rt")
+        bank = rt.bank
+        # every column atomic uses the template, in blocks of one x-y column
+        assert np.count_nonzero(bank.on_template) == bank.n_atomics - 1
+        assert bank.group == rt.cfg.grid.shape[2] and bank.tpl_undefined.size
+        base = bank.table(0)
+        for i in range(bank.n_atomics):
+            assert controller_equal(bank.table(i), safety_control(rt.sys, SafetySpec(bank.safes[i]), warm_start=base))
+
     def test_logs_one_record_per_atomic(self, rng, caplog):
         sysm = random_system(rng, max_states=40)
         base = random_state_set(rng, sysm.n_states, density=0.95)
@@ -171,7 +246,7 @@ class TestSynthesizeBank:
         records = [r for r in caplog.records if r.name == "parashield.shield"]
         assert [r.atomic for r in records] == list(range(len(atomics)))
         assert all(r.levelno == logging.DEBUG and r.atomics == len(atomics) for r in records)
-        assert [r.diff_rows for r in records] == list(np.diff(bank.ptr))
+        assert [r.diff_rows for r in records] == [len(rows) for rows, _ in bank_diffs(bank)]
 
     def test_delta_requires_sub_controllers(self, automaton7):
         sysm, g, h = automaton7
@@ -210,6 +285,28 @@ class TestCompose:
     def test_empty_active_rejected(self, automaton7_bank):
         with pytest.raises(EmptyActiveSet):
             compose(automaton7_bank, set())
+
+    @pytest.mark.parametrize("atomic", [-1, 2])
+    def test_atomic_id_out_of_range_rejected(self, automaton7_bank, atomic):
+        with pytest.raises(IndexError, match=f"atomic id {atomic} out of range"):
+            automaton7_bank.raw_product([0, atomic])
+
+    def test_fine_rectangles_of_active_columns(self, fine_rt, rng):
+        # fewer active template users than template blocks and more: the
+        # raw product moves the template per user in one case, per block in
+        # the other
+        layout, bank = fine_rt.layout, fine_rt.bank
+        users = []
+        for _ in range(20):
+            x0, y0 = (int(rng.integers(0, n)) for n in (layout.n_ix, layout.n_iy))
+            x1, y1 = x0 + int(rng.integers(1, 12)), y0 + int(rng.integers(1, 12))
+            active = [0] + [layout.id_of(ix, iy) for ix in range(layout.ix0 + x0, layout.ix0 + min(x1, layout.n_ix))
+                            for iy in range(layout.iy0 + y0, layout.iy0 + min(y1, layout.n_iy))]
+            assert bank.on_template[active[1:]].all()
+            users.append(len(active) - 1)
+            pon = pure_online_shield(fine_rt.sys, [bank.safes[i] for i in active])
+            assert controller_equal(compose(bank, active).table, pon.table)
+        assert min(users) < bank.tpl_blocks.size <= max(users)
 
     def test_equals_direct_synthesis_random(self, rng):
         for _ in range(25):
@@ -258,7 +355,8 @@ class TestCompose:
         sub[3] = 0
         assert sub[:3].any(axis=1).all() and not np.array_equal(sub[1], sub[2])
         safes = StateSets.encode([StateSet.full(12), StateSet.full(12)], StateSet.full(12))
-        bank = AtomicShieldBank(sysm, safes, base, np.array([0, 2, 4]), np.array([3, 5, 5, 9]), sub.copy())
+        bank = AtomicShieldBank(sysm, safes, base, *no_template(2, 2), np.array([0, 2, 4]), np.array([3, 5, 5, 9]),
+                                sub.copy())
         assert np.array_equal(bank.undefined, [9]) and np.array_equal(bank.uptr, [0, 0, 1])
         raw = bank.raw_product([0, 1])
         expect = base.masks.copy()
@@ -280,7 +378,7 @@ class TestCompose:
         assert not masks.flags.c_contiguous
         base = ControllerTable(sysm.n_states, sysm.n_inputs, bank.base.defined.copy(), masks)
         assert base.masks.flags.c_contiguous
-        other = AtomicShieldBank(sysm, bank.safes, base, bank.ptr, bank.idx, bank.masks)
+        other = AtomicShieldBank(sysm, bank.safes, base, *stored(bank))
         assert controller_equal(compose(other, range(3)).table, compose(bank, range(3)).table)
         # the narrowing loop updates the rows of the table it is given: from
         # the base narrowed to atomic 0's safe set, as synthesis does, both
@@ -434,7 +532,7 @@ class TestBankSerialization:
         path = tmp_path / "bank.pshb"
         # each table stored under the other atomic's safe set
         swapped = StateSets.encode(list(b.safes)[::-1], StateSet.full(7))
-        tampered = AtomicShieldBank(sysm, swapped, b.base, b.ptr, b.idx, b.masks)
+        tampered = AtomicShieldBank(sysm, swapped, b.base, *stored(b))
         save_bank(tampered, path)
         with pytest.raises(AbstractionMismatch):
             load_bank(path, sysm, spot_check=2)
@@ -468,21 +566,21 @@ def _members(path):
 
 
 def _shifted_ptr(m, n):
-    ptr = m["ptr"].copy()
+    ptr = m["exc_ptr"].copy()
     ptr[1] = ptr[-1] + 1
-    return {"ptr": ptr}
+    return {"exc_ptr": ptr}
 
 
 def _short_ptr(m, n):
-    ptr = m["ptr"].copy()
+    ptr = m["exc_ptr"].copy()
     ptr[-1] -= 1
-    return {"ptr": ptr}
+    return {"exc_ptr": ptr}
 
 
 def _idx_out_of_range(m, n):
-    idx = m["idx"].copy()
+    idx = m["exc_idx"].copy()
     idx[0] = n
-    return {"idx": idx}
+    return {"exc_idx": idx}
 
 
 def _safe_ptr_not_monotone(m, n):
@@ -512,11 +610,27 @@ def _lacked_state_outside_the_reference(m, n):
 
 
 def _idx_repeated(m, n):
-    # the second diff row of atomic 0 names its first row again
-    assert m["ptr"][1] >= 2
-    idx = m["idx"].copy()
+    # the second exception row of atomic 0 names its first row again
+    assert m["exc_ptr"][1] >= 2
+    idx = m["exc_idx"].copy()
     idx[1] = idx[0]
-    return {"idx": idx}
+    return {"exc_idx": idx}
+
+
+def _template_rows_swapped(m, n):
+    rows = m["tpl_rows"].copy()
+    rows[[0, 1]] = rows[[1, 0]]
+    return {"tpl_rows": rows}
+
+
+def _user_shift(m, shift, down=False):
+    # atomic 1, which uses the template, moves by `shift` rounded to a
+    # multiple of the group size, so that only the range check can refuse it
+    assert m["shift"][1] != NO_SHIFT
+    g = int(m["tpl_group"])
+    shifts = m["shift"].copy()
+    shifts[1] = (shift // g if down else -(-shift // g)) * g
+    return {"shift": shifts}
 
 
 class TestMalformedBank:
@@ -536,15 +650,15 @@ class TestMalformedBank:
         return sysm, path
 
     @pytest.mark.parametrize("change", [
-        lambda m, n: {"ptr": None},
+        lambda m, n: {"exc_ptr": None},
         lambda m, n: {"kind": np.str_("abstraction")},
         lambda m, n: {"version": np.int64(2)},
         _shifted_ptr,
         _short_ptr,
         _idx_out_of_range,
         _idx_repeated,
-        lambda m, n: {"masks": np.hstack([m["masks"], m["masks"]])},
-        lambda m, n: {"masks": m["masks"].astype(np.int64)},
+        lambda m, n: {"exc_masks": np.hstack([m["exc_masks"], m["exc_masks"]])},
+        lambda m, n: {"exc_masks": m["exc_masks"].astype(np.int64)},
         _safe_ptr_not_monotone,
         _safe_idx_out_of_range,
         _safe_idx_repeated,
@@ -568,7 +682,7 @@ class TestMalformedBank:
         # off its mask; the member set no longer matches
         sysm, path = bank_file
         members = _members(path)
-        members["defined"] = np.packbits(members["masks"].any(axis=1))
+        members["defined"] = np.packbits(members["exc_masks"].any(axis=1))
         with open(path, "wb") as f:
             np.savez(f, **members)
         with pytest.raises(ValueError, match="members") as err:
@@ -588,11 +702,54 @@ class TestMalformedBank:
             load_bank(path, sysm, spot_check=0)
         assert not isinstance(err.value, AbstractionMismatch)
 
+    def test_old_layout_with_diffs_only(self, bank_file):
+        # the layout before the template stored every atomic's diff as
+        # `ptr`, `idx` and `masks`
+        sysm, path = bank_file
+        members = _members(path)
+        for name in ("tpl_rows", "tpl_masks", "tpl_group", "shift"):
+            del members[name]
+        for name in ("ptr", "idx", "masks"):
+            members[name] = members.pop(f"exc_{name}")
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+        with pytest.raises(ValueError, match="members") as err:
+            load_bank(path, sysm, spot_check=0)
+        assert not isinstance(err.value, AbstractionMismatch)
+
+    @pytest.fixture
+    def template_file(self, tmp_path, coarse_rt):
+        path = tmp_path / "bank.pshb"
+        save_bank(coarse_rt.bank, path)
+        return coarse_rt.sys, path
+
+    @pytest.mark.parametrize("change", [
+        _template_rows_swapped,
+        lambda m, n: _user_shift(m, -1 - int(m["tpl_rows"][0]), down=True),
+        lambda m, n: _user_shift(m, n - int(m["tpl_rows"][-1])),
+        lambda m, n: _user_shift(m, 2 ** 63 - 1, down=True),
+        lambda m, n: {"shift": m["shift"] + np.where(np.arange(m["shift"].size) == 1, 1, 0)},
+        lambda m, n: {"tpl_group": np.int64(0)},
+        lambda m, n: {"tpl_group": np.int64(5)},
+        lambda m, n: {"tpl_masks": m["tpl_masks"][1:]},
+    ], ids=["rows-not-ascending", "row-below-0", "row-at-n", "row-far-above", "shift-off-the-group",
+            "group-0", "group-not-dividing-n", "masks-short"])
+    def test_bad_template(self, template_file, change):
+        sysm, path = template_file
+        members = _members(path)
+        assert sysm.n_states % 5 and members["tpl_group"] > 1
+        members.update(change(members, sysm.n_states))
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+        with pytest.raises(ValueError) as err:
+            load_bank(path, sysm, spot_check=0)
+        assert not isinstance(err.value, AbstractionMismatch)
+
     def test_foreign_hash_is_refused_before_any_array_is_read(self, bank_file):
         sysm, path = bank_file
         members = _members(path)
         members["content_hash"] = np.str_("0" * 64)
-        members["masks"] = members["masks"].astype(np.int64)
+        members["exc_masks"] = members["exc_masks"].astype(np.int64)
         with open(path, "wb") as f:
             np.savez(f, **members)
         with pytest.raises(AbstractionMismatch):
@@ -601,7 +758,7 @@ class TestMalformedBank:
     def test_flipped_byte_in_diff_masks(self, bank_file):
         sysm, path = bank_file
         data = bytearray(path.read_bytes())
-        at = data.find(_members(path)["masks"].tobytes())
+        at = data.find(_members(path)["exc_masks"].tobytes())
         assert at > 0
         data[at + 3] ^= 0x10
         path.write_bytes(bytes(data))
