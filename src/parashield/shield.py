@@ -133,13 +133,11 @@ class AtomicShieldBank:
         First the template, in whole blocks of `group` rows
         (`synthesis._rows` over blocks): per template block, one gather of
         that block of every active user, one AND with the block's masks and
-        one scatter back, or the same per active user over all its blocks
-        when there are fewer users than blocks.  A user's blocks are
-        distinct; users with different shifts move a block to different
-        blocks, and users with one shift write one result, so no AND is
-        lost.  The template's undefined states, moved, leave the domain.
-        Then, per active atomic with exception rows, one gather, AND and
-        scatter of those rows, and its undefined states leave the domain.
+        one scatter back.  Users with different shifts move a block to
+        different blocks, and users with one shift write one result, so no
+        AND is lost.  The template's undefined states, moved, leave the
+        domain.  Then, per active atomic with exception rows, one gather, AND
+        and scatter of those rows, and its undefined states leave the domain.
         All of these are sub-rows of the base, so rows only lose bits and
         only turn undefined."""
         ids = np.unique(np.asarray([int(i) for i in active], dtype=np.int64))
@@ -153,13 +151,8 @@ class AtomicShieldBank:
         if shift.size:
             blocks = _rows(tab.masks.reshape(-1, self.tpl_dense.shape[1]))
             steps = shift // self.group
-            # per user all its blocks, or per block all users, whichever
-            # takes fewer passes
-            if steps.size < self.tpl_blocks.size:
-                moves = [(s + self.tpl_blocks, self.tpl_dense) for s in steps.tolist()]
-            else:
-                moves = [(steps + b, dense) for b, dense in zip(self.tpl_blocks.tolist(), self.tpl_dense)]
-            for at, dense in moves:
+            for b, dense in zip(self.tpl_blocks.tolist(), self.tpl_dense):
+                at = steps + b
                 kept = blocks[at].view(np.uint64).reshape(at.size, -1)
                 kept &= dense
                 blocks[at] = kept.view(blocks.dtype).reshape(-1)

@@ -292,21 +292,15 @@ class TestCompose:
             automaton7_bank.raw_product([0, atomic])
 
     def test_fine_rectangles_of_active_columns(self, fine_rt, rng):
-        # fewer active template users than template blocks and more: the
-        # raw product moves the template per user in one case, per block in
-        # the other
         layout, bank = fine_rt.layout, fine_rt.bank
-        users = []
         for _ in range(20):
             x0, y0 = (int(rng.integers(0, n)) for n in (layout.n_ix, layout.n_iy))
             x1, y1 = x0 + int(rng.integers(1, 12)), y0 + int(rng.integers(1, 12))
             active = [0] + [layout.id_of(ix, iy) for ix in range(layout.ix0 + x0, layout.ix0 + min(x1, layout.n_ix))
                             for iy in range(layout.iy0 + y0, layout.iy0 + min(y1, layout.n_iy))]
             assert bank.on_template[active[1:]].all()
-            users.append(len(active) - 1)
             pon = pure_online_shield(fine_rt.sys, [bank.safes[i] for i in active])
             assert controller_equal(compose(bank, active).table, pon.table)
-        assert min(users) < bank.tpl_blocks.size <= max(users)
 
     def test_equals_direct_synthesis_random(self, rng):
         for _ in range(25):
