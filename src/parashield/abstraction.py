@@ -8,7 +8,9 @@ vehicle dynamics: the cell plus the bounds of one step's displacement, which
 `_displacement` alone computes, for `build_abstraction` and
 `reach_overapprox` alike.  The abstract transition relation maps each pair to
 the set of cells that intersect the image box, with a distinguished OUT flag
-when the image leaves the box in a non-periodic dimension.
+when the image leaves the box in a non-periodic dimension.  Each abstraction
+holds its OUT relation once, as the packed table `stays`: bit u of row x is
+set when (x, u) is not OUT, which is the universe controller's masks.
 
 The synthesis fixed points ask one bulk question of a state set, `pair_hits`:
 which pairs have a successor in it.  (All successors of a pair lie in S
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, PointOutOfDomain
-from .synthesis import _pack_bool
+from .synthesis import _has_bit, _pack_bool
 
 TWO_PI = 2.0 * np.pi
 
@@ -184,8 +186,12 @@ class InputGrid:
         return cls(pts)
 
     def nearest(self, point):
-        """Index of the grid point closest to `point` (Euclidean, ties to the lowest index)."""
+        """Index of the grid point closest to `point` (Euclidean, ties to the
+        lowest index); a ValueError names both widths when `point` has
+        another width than the grid's points."""
         p = np.asarray(point, dtype=np.float64)
+        if p.shape != self.points.shape[1:]:
+            raise ValueError(f"a point of width {p.size} for inputs of width {self.points.shape[1]}")
         d2 = ((self.points - p) ** 2).sum(axis=1)
         return int(np.argmin(d2))
 
@@ -327,8 +333,9 @@ class BoxedAbstraction:
     that depend only on the cell's heading row and the input: the
     (nt, n_inputs, 3, 2) integer array `offsets` holds at `[it, u, d]` the
     (lo, hi) shift along dimension d, heading shifts taken modulo the number
-    of heading cells.  In x and y the box is clipped to the grid, and the
-    (n_states, n_inputs) mask `out` records that it had to be.  The relation
+    of heading cells.  In x and y the box is clipped to the grid; bit u of
+    row x of the packed (n_states, words) table `stays` is clear when the box
+    of (x, u) had to be (an OUT pair), and set otherwise.  The relation
     is a pure function of the grid, the inputs and `offsets`, which is what
     the content hash digests.
 
@@ -365,13 +372,14 @@ class BoxedAbstraction:
         self.n_inputs = len(inputs)
         nx, ny, nt = grid.shape
         # OUT where the box leaves the grid in x or y: per (x, heading row,
-        # input) and per (y, heading row, input), then broadcast
+        # input) and per (y, heading row, input); the packed complements are
+        # ANDed over the x-y plane
         lo, hi = offsets[..., 0], offsets[..., 1]
         i = np.arange(nx)[:, None, None]
         out_x = (i + lo[..., 0] < 0) | (i + hi[..., 0] > nx - 1)
         i = np.arange(ny)[:, None, None]
         out_y = (i + lo[..., 1] < 0) | (i + hi[..., 1] > ny - 1)
-        self.out = (out_x[:, None] | out_y[None]).reshape(self.n_states, self.n_inputs)
+        self.stays = (_pack_bool(~out_x)[:, None] & _pack_bool(~out_y)[None]).reshape(self.n_states, -1)
         # the radius in heading never needs to exceed half the circle; in x
         # and y, offsets past the grid's extent never land inside it
         shape = np.asarray(grid.shape, dtype=np.int64)
@@ -539,7 +547,7 @@ class BoxedAbstraction:
                 axes.append(np.arange(max(i + lo, 0), min(i + hi, n - 1) + 1))
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = sum(m.astype(np.int64) * s for m, s in zip(mesh, self.grid.strides)).ravel()
-        return np.sort(flat), bool(self.out[cell, u])
+        return np.sort(flat), not _has_bit(self.stays, cell, u)
 
 
 class ExplicitAbstraction:
@@ -554,17 +562,24 @@ class ExplicitAbstraction:
         self.n_inputs = int(n_inputs)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.succ = np.asarray(succ, dtype=np.int64)
-        self.out = np.asarray(out, dtype=bool).reshape(self.n_states, self.n_inputs)
+        out = np.asarray(out, dtype=bool).reshape(self.n_states, self.n_inputs)
         self.inputs = InputGrid(np.arange(self.n_inputs, dtype=np.float64))
         n_pairs = self.n_states * self.n_inputs
         if self.indptr.size != n_pairs + 1:
             raise ValueError("indptr must have one entry per pair plus one")
         counts = np.diff(self.indptr)
         self._pair_of = np.repeat(np.arange(n_pairs, dtype=np.int64), counts)
-        empty = (counts == 0) & ~self.out.reshape(-1)
+        empty = (counts == 0) & ~out.reshape(-1)
         if np.any(empty):
             raise ValueError("post must be non-empty unless OUT is flagged")
-        self._hash = None
+        self.stays = _pack_bool(~out)
+        h = hashlib.sha256()
+        h.update(b"PSHD-explicit")
+        h.update(struct.pack("<qq", self.n_states, self.n_inputs))
+        h.update(self.indptr.tobytes())
+        h.update(self.succ.tobytes())
+        h.update(out.tobytes())
+        self.content_hash = h.hexdigest()
 
     @classmethod
     def from_map(cls, n_states, n_inputs, post_map, out_pairs=()):
@@ -604,19 +619,7 @@ class ExplicitAbstraction:
 
     def post(self, cell, u):
         i = cell * self.n_inputs + u
-        return self.succ[self.indptr[i]:self.indptr[i + 1]].copy(), bool(self.out[cell, u])
-
-    @property
-    def content_hash(self):
-        if self._hash is None:
-            h = hashlib.sha256()
-            h.update(b"PSHD-explicit")
-            h.update(struct.pack("<qq", self.n_states, self.n_inputs))
-            h.update(self.indptr.tobytes())
-            h.update(self.succ.tobytes())
-            h.update(self.out.tobytes())
-            self._hash = h.hexdigest()
-        return self._hash
+        return self.succ[self.indptr[i]:self.indptr[i + 1]].copy(), not _has_bit(self.stays, cell, u)
 
 
 def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -> BoxedAbstraction:
@@ -628,7 +631,7 @@ def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -
     and the index shifts are floor(lo / eta) and ceil(hi / eta), which keeps
     the zero-motion case exact: a cell maps to itself alone.
     These shifts are the whole abstraction: `BoxedAbstraction` derives the
-    OUT mask, the hit-test kernels and every post-set from them.
+    packed OUT complement `stays`, the hit-test kernels and every post-set from them.
     """
     if grid.dims != 3 or grid.periodic[0] or grid.periodic[1] or not grid.periodic[2]:
         raise GridMismatch("vehicle abstraction expects (x, y, heading) with only the heading periodic")

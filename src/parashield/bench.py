@@ -10,7 +10,6 @@ columns are comparable.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 
@@ -124,19 +123,25 @@ def run_bench(rt: NavRuntime, instances=70, seed=0, max_steps=200):
 # -- randomized equivalence suite ---------------------------------------------
 
 
-def random_system(rng, max_states=64, max_inputs=4, max_succ=3, out_prob=0.05) -> ExplicitAbstraction:
+_MAX_INPUTS = 4       # inputs of a random system, at most
+_MAX_SUCC = 3         # successor draws per pair, at most
+_OUT_PROB = 0.05      # probability that a pair is OUT
+_SPEC_COUNTS = (2, 2, 3, 2, 4)    # atomics per oracle trial, cycled
+
+
+def random_system(rng, max_states=64) -> ExplicitAbstraction:
     """Random finite abstract system for oracle tests."""
     n = int(rng.integers(2, max_states + 1))
-    m = int(rng.integers(1, max_inputs + 1))
+    m = int(rng.integers(1, _MAX_INPUTS + 1))
     post = {}
     out_pairs = []
     for x in range(n):
         for u in range(m):
-            if rng.random() < out_prob:
+            if rng.random() < _OUT_PROB:
                 out_pairs.append((x, u))
                 if rng.random() < 0.5:
                     continue  # OUT with empty in-box remainder
-            k = int(rng.integers(1, max_succ + 1))
+            k = int(rng.integers(1, _MAX_SUCC + 1))
             post[(x, u)] = rng.integers(0, n, size=k).tolist()
     return ExplicitAbstraction.from_map(n, m, post, out_pairs)
 
@@ -242,10 +247,10 @@ def oracle_trial(rng, n_specs=2) -> bool:
     return True
 
 
-def run_oracle_trials(trials, seed=0, spec_counts=(2, 2, 3, 2, 4)):
+def run_oracle_trials(trials, seed=0):
     """Run the randomized equivalence suite; returns (passed, failed)."""
     rng = np.random.default_rng(seed)
-    counts = itertools.cycle(spec_counts)
+    counts = itertools.cycle(_SPEC_COUNTS)
     passed = failed = 0
     for _ in range(trials):
         if oracle_trial(rng, n_specs=next(counts)):
@@ -253,8 +258,3 @@ def run_oracle_trials(trials, seed=0, spec_counts=(2, 2, 3, 2, 4)):
         else:
             failed += 1
     return passed, failed
-
-
-def out_dir_from(flag_value):
-    """PARASHIELD_OUT overrides the --out flag."""
-    return os.environ.get("PARASHIELD_OUT", flag_value)

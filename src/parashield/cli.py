@@ -17,22 +17,11 @@ import numpy as np
 
 from . import bench as bench_mod
 from .abstraction import build_abstraction
-from .errors import (
-    AbstractionMismatch,
-    DomainViolation,
-    EmptyActiveSet,
-    GenerationFailed,
-    GridMismatch,
-    PointOutOfDomain,
-    UniverseMismatch,
-)
+from .errors import DomainViolation, GenerationFailed
 from .navsim import MODES, WorldParams, feasible_world, load_world, run_episode
 from .shield import compose, load_bank, save_bank, shield_apply
 
-_ERRORS = (
-    PointOutOfDomain, GridMismatch, UniverseMismatch, AbstractionMismatch,
-    DomainViolation, EmptyActiveSet, GenerationFailed, ValueError,
-)
+_ERRORS = (ValueError, DomainViolation, GenerationFailed)
 
 
 def _add_common(p, seed=True, out=True):
@@ -44,9 +33,8 @@ def _add_common(p, seed=True, out=True):
 
 
 def _out_dir(args):
-    out = bench_mod.out_dir_from(args.out)
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def cmd_synth_bank(args):

@@ -236,12 +236,10 @@ def frame_cell(pose, grid: GridSpec):
     return grid.quantize((pose[0] - cx, pose[1] - cy, pose[2]))
 
 
-def sense(world: WorldMap, pose, cfg: SensingConfig, layout: ColumnLayout | None = None) -> VisibleSnapshot:
+def sense(world: WorldMap, pose, cfg: SensingConfig, layout: ColumnLayout) -> VisibleSnapshot:
     """Translate obstacles into the robot frame and activate the atomics of
     every interior column whose rectangle meets an obstacle (over-approximated:
     any overlap, including boundary contact, marks the column unsafe)."""
-    if layout is None:
-        layout = ColumnLayout(cfg.grid, cfg.d)
     px, py = frame_center(pose, cfg.grid)
     eta_x, eta_y = cfg.grid.eta[0], cfg.grid.eta[1]
     lo_x, lo_y = cfg.grid.lower[0], cfg.grid.lower[1]
@@ -530,10 +528,12 @@ def start_feasible(world: WorldMap, rt: NavRuntime) -> bool:
     return bool(shield.table.defined[frame_cell(world.start, rt.cfg.grid)])
 
 
-def feasible_world(rt: NavRuntime, seed, params: WorldParams = WorldParams(),
-                   max_attempts=25) -> WorldMap:
+_WORLD_ATTEMPTS = 25    # seeds `feasible_world` draws before it gives up
+
+
+def feasible_world(rt: NavRuntime, seed, params: WorldParams = WorldParams()) -> WorldMap:
     """Deterministic world draw, re-rolling seeds until the start is feasible."""
-    for k in range(max_attempts):
+    for k in range(_WORLD_ATTEMPTS):
         world = random_world(seed + 7919 * k, params)
         if start_feasible(world, rt):
             return world

@@ -53,7 +53,6 @@ class ShieldDecision:
     u: np.ndarray
     u_index: int
     intervened: bool
-    proposed_allowed: bool
 
 
 class Shield:
@@ -364,13 +363,13 @@ def shield_apply(shield: Shield, cell, proposed) -> ShieldDecision:
     proposed = np.asarray(proposed, dtype=np.float64)
     snapped = shield.inputs.nearest(proposed)
     if table.allows(cell, snapped):
-        return ShieldDecision(shield.inputs[snapped], snapped, intervened=False, proposed_allowed=True)
+        return ShieldDecision(shield.inputs[snapped], snapped, intervened=False)
     allowed = table.allowed_indices(cell)
     if allowed.size == 0:
         raise DomainViolation(f"cell {cell} has no allowed inputs (blocking state)")
     d2 = ((shield.inputs.points[allowed] - proposed) ** 2).sum(axis=1)
     pick = int(allowed[int(np.argmin(d2))])
-    return ShieldDecision(shield.inputs[pick], pick, intervened=True, proposed_allowed=False)
+    return ShieldDecision(shield.inputs[pick], pick, intervened=True)
 
 
 # -- serialization ------------------------------------------------------------

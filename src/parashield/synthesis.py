@@ -152,6 +152,12 @@ def _unpack_bool(masks, m):
     return np.unpackbits(octets, axis=-1, count=m, bitorder="little").view(bool)
 
 
+def _has_bit(masks, row, u):
+    """Whether bit `u` of row `row` of a packed table is set."""
+    w, b = divmod(int(u), 64)
+    return bool((masks[int(row), w] >> np.uint64(b)) & np.uint64(1))
+
+
 def _rows(masks):
     """A C-contiguous (n, words) uint64 table as n items of `8 * words` bytes,
     one per row, sharing its memory.  Fancy indexing then moves whole rows:
@@ -198,8 +204,7 @@ class ControllerTable:
         return np.nonzero(row)[0]
 
     def allows(self, cell, u):
-        w, b = divmod(int(u), 64)
-        return bool((self.masks[int(cell), w] >> np.uint64(b)) & np.uint64(1))
+        return _has_bit(self.masks, cell, u)
 
     def domain(self) -> StateSet:
         return StateSet(self.defined.copy())
@@ -245,20 +250,17 @@ def cpre(sys, s: StateSet) -> StateSet:
     """Controllable predecessor: states with an input forcing all successors into s."""
     _check_universe(sys, s)
     rows, hits = sys.pair_hits(~s.mask)
-    ok = universe_controller(sys).masks
+    ok = sys.stays.copy()
     ok[rows] &= ~hits
     return StateSet(ok.any(axis=1))
 
 
 def universe_controller(sys) -> ControllerTable:
-    """Every state defined, every input allowed that does not leave the grid.
-
-    Packed once per abstraction; each call returns a fresh copy, because
+    """Every state defined, every input allowed that does not leave the grid:
+    the abstraction's `stays`.  Each call returns a fresh table, because
     `_narrow` narrows the table it is given in place.
     """
-    if getattr(sys, "_universe", None) is None:
-        sys._universe = ControllerTable.from_bool(np.ones(sys.n_states, dtype=bool), ~sys.out)
-    return sys._universe.copy()
+    return ControllerTable(sys.n_states, sys.n_inputs, np.ones(sys.n_states, dtype=bool), sys.stays.copy())
 
 
 def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None, touched=None):
@@ -347,13 +349,13 @@ def largest_nonblocking(sys, table: ControllerTable) -> ControllerTable:
     if table.n_states != sys.n_states or table.n_inputs != sys.n_inputs:
         raise UniverseMismatch("table does not match the system")
     table = table.copy()
-    table.masks &= ~_pack_bool(sys.out)
+    table.masks &= sys.stays
     return _narrow(sys, table, ~table.defined | table.blocking().mask)
 
 
 def closure_holds(sys, table: ControllerTable) -> bool:
     """Check that every allowed input maps entirely into the table's domain."""
     rows, hits = sys.pair_hits(~table.defined)
-    leaves = _pack_bool(sys.out)
+    leaves = ~sys.stays
     leaves[rows] |= hits
     return not np.any(table.masks & leaves)

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -285,6 +287,12 @@ class TestInputGrid:
         assert g.nearest((0.0, 0.0)) == 0
         assert g.nearest((0.1, 0.0)) == 1
 
+    @pytest.mark.parametrize("point", [(0.4,), (0.4, 0.0, 1.0)], ids=["width-1", "width-3"])
+    def test_nearest_rejects_a_point_of_another_width(self, point):
+        g = InputGrid.from_values([-0.2, 0.2], [0.0])
+        with pytest.raises(ValueError, match=f"a point of width {len(point)} for inputs of width 2"):
+            g.nearest(point)
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             InputGrid([[0.0, 0.0], [0.0, 0.0]])
@@ -398,7 +406,7 @@ class TestBuildAbstraction:
         b = build_abstraction(g, inputs, p)
         assert a.content_hash == b.content_hash
         assert np.array_equal(a.offsets, b.offsets)
-        assert np.array_equal(a.out, b.out)
+        assert np.array_equal(a.stays, b.stays)
 
     def test_soundness_by_sampling(self, rng):
         g = small_grid()
@@ -422,7 +430,7 @@ class TestBuildAbstraction:
 
 
 class TestPostAgainstRanges:
-    """`post` and `out`, computed from the shift table, against the per-pair
+    """`post` and `stays`, computed from the shift table, against the per-pair
     ranges of `reference_ranges`."""
 
     @staticmethod
@@ -442,7 +450,7 @@ class TestPostAgainstRanges:
         covered = set()
         for boxed in self.cases():
             explicit = explicit_reference(boxed)
-            assert np.array_equal(boxed.out, explicit.out)
+            assert np.array_equal(boxed.stays, explicit.stays)
             for c in range(boxed.n_states):
                 for u in range(boxed.n_inputs):
                     s1, o1 = boxed.post(c, u)
@@ -474,7 +482,7 @@ class TestPostAgainstRanges:
         from parashield.bench import preset_config
         cfg = preset_config(preset)
         boxed = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
-        assert np.array_equal(boxed.out, reference_ranges(boxed)[2])
+        assert np.array_equal(~_unpack_bool(boxed.stays, boxed.n_inputs), reference_ranges(boxed)[2])
 
 
 class TestSerialization:
@@ -496,6 +504,35 @@ class TestExplicitAbstraction:
         sysm = ExplicitAbstraction.from_map(2, 1, {(0, 0): [1]}, out_pairs=[(1, 0)])
         succ, is_out = sysm.post(1, 0)
         assert len(succ) == 0 and is_out
+
+    def test_stays_and_content_hash_from_the_bool_out(self, rng):
+        # `stays` packs OUT's complement; the hash still digests the
+        # relation as successor lists plus one OUT byte per pair
+        out = rng.random((5, 3)) < 0.3
+        post = {(x, u): rng.integers(0, 5, size=2).tolist() for x in range(5) for u in range(3)}
+        sysm = ExplicitAbstraction.from_map(5, 3, post, out_pairs=zip(*np.nonzero(out)))
+        assert np.array_equal(~_unpack_bool(sysm.stays, 3), out)
+        assert [sysm.post(x, u)[1] for x in range(5) for u in range(3)] == out.ravel().tolist()
+        h = hashlib.sha256(b"PSHD-explicit")
+        h.update(struct.pack("<qq", 5, 3))
+        h.update(sysm.indptr.astype(np.int64).tobytes())
+        h.update(sysm.succ.astype(np.int64).tobytes())
+        h.update(out.tobytes())
+        assert sysm.content_hash == h.hexdigest()
+
+
+class TestStays:
+    """`stays`, the one packed OUT relation of an abstraction."""
+
+    def test_no_bits_past_the_inputs(self, rng):
+        from parashield.bench import preset_config, random_system
+        cfg = preset_config("coarse")
+        for sysm in (build_abstraction(cfg.grid, cfg.inputs, cfg.params),
+                     build_abstraction(small_grid(), small_inputs(), small_params()), random_system(rng)):
+            bits = np.unpackbits(sysm.stays.view(np.uint8), axis=1, bitorder="little")
+            assert bits.shape == (sysm.n_states, 64 * -(-sysm.n_inputs // 64))
+            assert bits[:, :sysm.n_inputs].any()
+            assert not bits[:, sysm.n_inputs:].any()
 
 
 def reach_dilation(grid, radius, member):

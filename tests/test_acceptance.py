@@ -202,7 +202,6 @@ class TestCriterion6Properties:
                 d = shield_apply(shield, int(cell), raw)
                 snapped = shield.inputs.nearest(raw)
                 assert d.intervened == (not shield.table.allows(int(cell), snapped))
-                assert d.intervened == (not d.proposed_allowed)
                 assert shield.table.allows(int(cell), d.u_index)
                 checked += 1
         _ok(f"criterion 6d: intervention iff snapped proposal disallowed ({checked} decisions)")

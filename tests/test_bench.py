@@ -95,8 +95,7 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode != 0
 
-    def test_run_subcommand_writes_trace(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
+    def test_run_subcommand_writes_trace(self, tmp_path):
         rc = cli_main(["run", "--grid-preset", "coarse", "--seed", "4",
                        "--mode", "dynamic", "--max-steps", "25",
                        "--out", str(tmp_path)])
@@ -110,7 +109,6 @@ class TestCli:
     def test_unshielded_run_in_a_world_file_needs_no_bank(self, tmp_path, monkeypatch):
         import parashield.bench as bench_mod
         from parashield.navsim import random_world, save_world
-        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
 
         def no_bank(*args, **kwargs):
             raise AssertionError("an unshielded episode reads no bank")
@@ -132,7 +130,6 @@ class TestCli:
     ], ids=["nan-start", "inf-obstacle", "start-outside-bounds"])
     def test_run_refuses_a_non_finite_world(self, tmp_path, monkeypatch, capsys, records, problem):
         import parashield.bench as bench_mod
-        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
 
         def no_bank(*args, **kwargs):
             raise AssertionError("a refused world needs no bank")
@@ -146,19 +143,8 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ValueError: ") and problem in err[0]
         assert not (tmp_path / "out").exists()
 
-    def test_out_env_overrides_flag(self, tmp_path, monkeypatch, capsys):
-        override = tmp_path / "env_out"
-        monkeypatch.setenv("PARASHIELD_OUT", str(override))
-        rc = cli_main(["run", "--grid-preset", "coarse", "--seed", "4",
-                       "--mode", "unshielded", "--max-steps", "10",
-                       "--out", str(tmp_path / "flag_out")])
-        assert rc in (0, 1)  # unshielded may collide
-        assert list(override.glob("trace_*.csv"))
-        assert not (tmp_path / "flag_out").exists()
-
-    def test_query_with_bank_file(self, tmp_path, coarse_rt, capsys, monkeypatch):
+    def test_query_with_bank_file(self, tmp_path, coarse_rt, capsys):
         from parashield.shield import save_bank
-        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
         bank_path = tmp_path / "bank.pshb"
         save_bank(coarse_rt.bank, bank_path)
         rc = cli_main(["query", "--grid-preset", "coarse", "--bank", str(bank_path),
@@ -178,6 +164,18 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: ValueError: atomic id {atomic} is outside [0, 401)"]
 
+    @pytest.mark.parametrize("proposal", ["0.4", "0.4,0,1"], ids=["width-1", "width-3"])
+    def test_query_refuses_a_proposal_of_another_width(self, tmp_path, coarse_rt, capsys, proposal):
+        from parashield.shield import save_bank
+        bank_path = tmp_path / "bank.pshb"
+        save_bank(coarse_rt.bank, bank_path)
+        rc = cli_main(["query", "--grid-preset", "coarse", "--bank", str(bank_path),
+                       "--cell", "13,13,10", "--propose", proposal])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        width = len(proposal.split(","))
+        assert err == [f"error: ValueError: a point of width {width} for inputs of width 2"]
+
     @pytest.mark.parametrize("flag", [["--out", "out"], ["--seed", "3"]], ids=["out", "seed"])
     def test_query_refuses_flags_it_does_not_read(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -192,8 +190,7 @@ class TestCli:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_bench_subcommand_end_to_end(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
+    def test_bench_subcommand_end_to_end(self, tmp_path, capsys):
         rc = cli_main(["bench", "--grid-preset", "coarse", "--instances", "1",
                        "--seed", "1", "--max-steps", "20", "--out", str(tmp_path)])
         assert rc == 0
@@ -204,8 +201,7 @@ class TestCli:
         assert lines[1].endswith("True")
         assert not list(tmp_path.glob("*.pshb*"))
 
-    def test_synth_bank_prints_phase_durations(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("PARASHIELD_OUT", raising=False)
+    def test_synth_bank_prints_phase_durations(self, tmp_path, capsys):
         rc = cli_main(["synth-bank", "--grid-preset", "coarse", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out

@@ -164,7 +164,7 @@ class TestSensingConfig:
 class TestSense:
     def test_obstacle_free_snapshot_is_fence_only(self, coarse_cfg):
         world = WorldMap((0, 0, 8, 8), [], (7, 7, 7.5, 7.5), (4, 4, 0.0))
-        snap = sense(world, world.start, coarse_cfg)
+        snap = sense(world, world.start, coarse_cfg, ColumnLayout(coarse_cfg.grid, coarse_cfg.d))
         assert snap.active == (0,)
 
     def test_single_column_obstacle(self, coarse_cfg):
@@ -172,7 +172,7 @@ class TestSense:
         # obstacle exactly covering the interior column [0, 0.1]^2 around a
         # robot at the origin-ish pose (4, 4)
         world = WorldMap((0, 0, 8, 8), [(4.02, 4.02, 4.08, 4.08)], (7, 7, 7.5, 7.5), (4, 4, 0.0))
-        snap = sense(world, (4.0, 4.0, 0.0), coarse_cfg)
+        snap = sense(world, (4.0, 4.0, 0.0), coarse_cfg, layout)
         ids = set(snap.active) - {0}
         assert len(ids) == 1
         (aid,) = ids
@@ -182,7 +182,8 @@ class TestSense:
 
     def test_far_obstacle_not_sensed(self, coarse_cfg):
         world = WorldMap((0, 0, 8, 8), [(5.55, 4.0, 5.8, 4.2)], (7, 7, 7.5, 7.5), (4, 4, 0.0))
-        snap = sense(world, (4.0, 4.0, 0.0), coarse_cfg)  # obstacle at 1.5*d
+        # obstacle at 1.5*d
+        snap = sense(world, (4.0, 4.0, 0.0), coarse_cfg, ColumnLayout(coarse_cfg.grid, coarse_cfg.d))
         assert snap.active == (0,)
 
     def test_fence_atomic_always_active(self):

@@ -422,13 +422,13 @@ class TestShieldApply:
     def test_pass_through_when_allowed(self):
         sh = self.make_shield(np.array([[True, True]]), [[-0.2, 0.0], [0.2, 0.0]])
         d = shield_apply(sh, 0, (0.19, 0.0))
-        assert not d.intervened and d.proposed_allowed
+        assert not d.intervened
         assert tuple(d.u) == (0.2, 0.0)
 
     def test_automaton7c_override_at_a(self, automaton7, automaton7_bank):
         sh = compose(automaton7_bank, {0, 1})
         d = shield_apply(sh, 0, (1.0,))  # input index 1 of the abstract grid
-        assert d.intervened and not d.proposed_allowed
+        assert d.intervened
         assert d.u_index == 0
 
     def test_nearest_and_tie_break(self):
@@ -451,7 +451,6 @@ class TestShieldApply:
                 d = shield_apply(sh, int(cell), (raw,))
                 snapped = sh.inputs.nearest((raw,))
                 assert d.intervened == (not sh.table.allows(int(cell), snapped))
-                assert d.intervened == (not d.proposed_allowed)
                 assert sh.table.allows(int(cell), d.u_index)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parashield.abstraction import ExplicitAbstraction, build_abstraction
 from parashield.bench import (
     brute_force_nonblocking,
     brute_force_safety_controller,
@@ -162,7 +163,8 @@ class TestSafetyControlProperties:
             sizes = []
             t = safety_control(sysm, SafetySpec(safe), iteration_sizes=sizes)
             assert len(sizes) <= sysm.n_states + 1
-            assert sizes[0] == np.count_nonzero(safe.mask & (~sysm.out).any(axis=1))
+            stays = _unpack_bool(sysm.stays, sysm.n_inputs)
+            assert sizes[0] == np.count_nonzero(safe.mask & stays.any(axis=1))
             # strictly decreasing; once there is a sweep, the one that
             # removes nothing repeats the last size
             if len(sizes) > 1:
@@ -222,7 +224,8 @@ class TestNarrowTouchedRows:
 class TestUniverseController:
     def test_each_call_returns_a_fresh_table(self, automaton7):
         sysm = automaton7[0]
-        expect = ControllerTable.from_bool(np.ones(sysm.n_states, dtype=bool), ~sysm.out)
+        stays = [[not sysm.post(x, u)[1] for u in range(sysm.n_inputs)] for x in range(sysm.n_states)]
+        expect = ControllerTable.from_bool(np.ones(sysm.n_states, dtype=bool), np.array(stays))
         first = universe_controller(sysm)
         assert controller_equal(first, expect)
         first.masks[:] = 0
@@ -231,6 +234,36 @@ class TestUniverseController:
         # a cold safety_control narrows the table it starts from in place
         safety_control(sysm, SafetySpec(sset([0, 1])))
         assert controller_equal(universe_controller(sysm), expect)
+
+    @pytest.mark.parametrize("kind", ["explicit", "boxed"])
+    def test_synthesis_attaches_nothing_to_the_system(self, kind, rng):
+        if kind == "explicit":
+            sysm = random_system(rng)
+        else:
+            from parashield.bench import preset_config
+            cfg = preset_config("coarse")
+            sysm = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
+        keys, stays = set(vars(sysm)), sysm.stays.copy()
+        safe = StateSet(np.arange(sysm.n_states) % 5 != 0)
+        table = safety_control(sysm, SafetySpec(safe))
+        cpre(sysm, safe)
+        largest_nonblocking(sysm, product(table, universe_controller(sysm)))
+        assert closure_holds(sysm, table)
+        assert set(vars(sysm)) == keys
+        assert np.array_equal(sysm.stays, stays)
+
+
+class TestClosureHolds:
+    def test_out_and_leaving_inputs_break_closure(self):
+        # state 0: input 0 stays, input 1 is OUT; state 1: input 0 goes to
+        # state 0, input 1 stays
+        sysm = ExplicitAbstraction.from_map(2, 2, {(0, 0): [0], (1, 0): [0], (1, 1): [1]}, out_pairs=[(0, 1)])
+        both = np.array([True, True])
+        assert closure_holds(sysm, ControllerTable.from_bool(both, np.array([[True, False], [True, True]])))
+        assert not closure_holds(sysm, ControllerTable.from_bool(both, np.array([[True, True], [True, True]])))
+        only_1 = np.array([False, True])
+        assert closure_holds(sysm, ControllerTable.from_bool(only_1, np.array([[False, False], [False, True]])))
+        assert not closure_holds(sysm, ControllerTable.from_bool(only_1, np.array([[False, False], [True, True]])))
 
 
 class TestProduct:
