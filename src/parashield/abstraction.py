@@ -15,32 +15,28 @@ set when (x, u) is not OUT, which is the universe controller's masks.
 The synthesis fixed points ask one bulk question of a state set, `pair_hits`:
 which pairs have a successor in it.  (All successors of a pair lie in S
 exactly when none lies in the complement of S.)  The answer is packed, one
-bit per input, as controller tables are.  The boxed abstraction has two ways
-to answer it over the offsets of its bounded reach neighbourhood:
-neighbourhood words built on a block around the set, whose cost follows the
-block cells times the shifted ORs that build a word, and the set's
-predecessors, whose cost follows the number of (member, offset) pairs.  It
-takes the path with less of that work, so a question about a few states costs
-a few states.
+bit per input, as controller tables are.  The boxed abstraction answers the
+set's whole heading columns in the x-y plane and its other states from their
+predecessors over its bounded reach neighbourhood.  So the dense first sweep
+of a synthesis from the universe, which removes fence and obstacle columns,
+costs the columns next to them, and a question about a few states costs a
+few states.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, PointOutOfDomain
-from .synthesis import _has_bit, _pack_bool
+from .errors import GridMismatch, PointOutOfDomain, UniverseMismatch
+from .synthesis import _has_bit, _pack_bool, _rows
 
 TWO_PI = 2.0 * np.pi
 
 _TILE_RTOL = 1e-9
-
-_ROW_BLOCK = 4096   # rows per kernel AND in the hit test; bounds its temporaries
 
 
 class GridSpec:
@@ -317,13 +313,19 @@ def reach_overapprox(cell_box, u, params: DubinsParams):
     return lo + d_lo, hi + d_hi
 
 
-def _or_shifted(acc, src, s):
-    """acc |= src << s, for words whose 64-bit lanes run along the last axis."""
-    q, r = divmod(s, 64)
-    n = acc.shape[-1] - q
-    acc[..., q:] |= src[..., :n] << np.uint64(r)
-    if r and n > 1:
-        acc[..., q + 1:] |= src[..., :n - 1] >> np.uint64(64 - r)
+def _check_masks(n_states, removed, within):
+    """Raise UniverseMismatch unless `pair_hits`' masks have n_states entries."""
+    for name, mask in (("removed", removed), ("within", within)):
+        if mask is not None and mask.dtype == bool and mask.size != n_states:
+            raise UniverseMismatch(f"a {name} mask of {mask.size} entries for {n_states} states")
+
+
+def _merge(rows, hits, more_rows, more_hits):
+    """The union of two `pair_hits` answers, the hits of a shared row ORed."""
+    at = np.searchsorted(rows, more_rows)
+    same = np.isin(more_rows, rows, assume_unique=True)
+    hits[at[same]] |= more_hits[same]
+    return np.insert(rows, at[~same], more_rows[~same]), np.insert(hits, at[~same], more_hits[~same], axis=0)
 
 
 class BoxedAbstraction:
@@ -345,22 +347,24 @@ class BoxedAbstraction:
     tests read one relation, `inside[t, u, b]`: offset b lies in the box of
     heading row t and input u.
 
-    - Words path (`_word_hits`).  Each (heading row, input) has a kernel, its
-      `inside` bits over b; a state's word has bit b set when offset b from
-      the state lands on a member of the tested set.  A pair meets the set
-      exactly when its word AND its kernel is nonzero.  Words and kernels take
-      as many 64-bit lanes as the neighbourhood has offsets.
-    - Predecessor path (`_scatter_hits`).  Each member r and offset b give the
+    - Column test (`_column_hits`), for whole heading columns.  Every box
+      spans a heading cell (`build_abstraction` shifts by floor(lo) <=
+      ceil(hi)), so it meets a whole column exactly when the column's x-y
+      offset lies in its x-y range: each (heading row, input) has an x-y
+      kernel, its `inside` bits over the (2Rx+1)(2Ry+1) x-y offsets, and a
+      column's pairs hit where their kernel meets the column's word, whose
+      bit j is set when x-y offset j lands on a tested column.  Its work
+      follows the columns next to the tested ones.
+    - Predecessor test (`_scatter_hits`).  Each member r and offset b give the
       predecessor p = r - b, and the packed `inside` bits over u at p's
       heading row and b are p's inputs that reach r through b.  ORing them
-      per p, after one sort, gives p's hits.
+      per p, after one sort, gives p's hits.  Its work follows the (member,
+      offset) pairs.
 
-    The words path builds each block cell's word with S = sum_d (2R_d + 1)
-    shifted ORs, one per offset along each axis; `pair_hits` takes the
-    predecessor path when |members| * K is at most the number of cells of
-    the words block times S, and the words path otherwise.  No block has
-    fewer cells than the one around a single column at a corner, so sets
-    small enough to pass against that floor skip measuring their block.
+    `pair_hits` takes the column test for the whole columns when there are
+    at least two, and predecessors for every other member.  One column, the
+    start of a warm-started atomic's descent, is nt * K pairs, which on the
+    preset grids cost less than the column test's fixed work over its plane.
     """
 
     def __init__(self, grid: GridSpec, inputs: InputGrid, params: DubinsParams, offsets):
@@ -385,32 +389,38 @@ class BoxedAbstraction:
         shape = np.asarray(grid.shape, dtype=np.int64)
         self.reach_radius = np.minimum(np.abs(offsets).max(axis=(0, 1, 3)),
                                        np.where(grid.periodic, shape // 2, shape - 1))
-        self._word_ors = int(np.sum(2 * self.reach_radius + 1))
-        # no words block is smaller than one around a single corner column,
-        # so up to this many (state, offset) pairs the predecessors answer
-        # without the block being measured
         rx, ry, rt = self.reach_radius.tolist()
-        self._scatter_floor = ((min(rx + 1, nx) + 2 * rx) * (min(ry + 1, ny) + 2 * ry) * (nt + 2 * rt)
-                               * self._word_ors)
         ox, oy, ot = (o.ravel() for o in np.meshgrid(
             *[np.arange(-r, r + 1) for r in self.reach_radius], indexing="ij"))
         lo = offsets[..., 0, None]
         hi = offsets[..., 1, None]
-        inside = ((lo[:, :, 0] <= ox) & (ox <= hi[:, :, 0]) & (lo[:, :, 1] <= oy) & (oy <= hi[:, :, 1])
-                  & ((ot - lo[:, :, 2]) % nt < np.minimum(hi[:, :, 2] - lo[:, :, 2] + 1, nt)))
-        self._kernels = _pack_bool(inside)    # (nt, n_inputs, lanes) uint64
-        # the predecessor hit test's tables, per (heading row or x-y column of
-        # a state, neighbourhood offset o): the flat index step back to the
-        # predecessor p, whether p is on the grid, and the column of
-        # `_pred_masks` (one 64-bit lane per row) holding the inputs whose box
-        # at p's heading row holds o
+        in_xy = (lo[:, :, 0] <= ox) & (ox <= hi[:, :, 0]) & (lo[:, :, 1] <= oy) & (oy <= hi[:, :, 1])
+        inside = in_xy & ((ot - lo[:, :, 2]) % nt < np.minimum(hi[:, :, 2] - lo[:, :, 2] + 1, nt))
+        # the column test's tables: the x-y plane padded by the radius, each
+        # column's flat position in it and the steps to its x-y offsets
+        # (every (2Rt+1)-th offset); the distinct x-y kernels, and per kernel
+        # the packed inputs of each heading row that have it (disjoint)
+        self._plane_size = (nx + 2 * rx) * (ny + 2 * ry)
+        self._plane_pos = ((np.arange(nx)[:, None] + rx) * (ny + 2 * ry) + np.arange(ny) + ry).ravel()
+        self._plane_steps = (ox * (ny + 2 * ry) + oy)[::2 * rt + 1]
+        self._xy_kernels, kernel_of = np.unique(_pack_bool(in_xy[..., ::2 * rt + 1]).reshape(nt * self.n_inputs, -1),
+                                                axis=0, return_inverse=True)
+        kernel_of = kernel_of.reshape(nt, self.n_inputs) == np.arange(len(self._xy_kernels))[:, None, None]
+        self._kernel_inputs = _pack_bool(kernel_of).reshape(len(self._xy_kernels), -1)
+        # the predecessor test's tables, per (heading row or x-y column of a
+        # state r, neighbourhood offset o): the key step back to the
+        # predecessor p, so that (r << 32) minus it is the sort key
+        # (p << 32) | row, the row of `_pred_masks` (one item of packed
+        # words per (heading row, offset)) holding the inputs whose box at
+        # p's heading row holds o (flat indices and rows fit in 32 bits
+        # each); and whether p is on the grid
         k = ox.size
         pt = (np.arange(nt)[:, None] - ot) % nt
-        self._pred_shift = (ox * ny + oy) * nt + np.arange(nt)[:, None] - pt
+        shift = (ox * ny + oy) * nt + np.arange(nt)[:, None] - pt
+        self._pred_keys = (shift << 32) - (pt * k + np.arange(k))
         px, py = np.arange(nx)[:, None] - ox, np.arange(ny)[:, None] - oy
         self._pred_on_grid = (((px >= 0) & (px < nx))[:, None] & ((py >= 0) & (py < ny))[None]).reshape(nx * ny, k)
-        self._pred_cols = pt * k + np.arange(k)
-        self._pred_masks = _pack_bool(inside.transpose(0, 2, 1).copy()).reshape(nt * k, -1).T.copy()
+        self._pred_masks = _rows(_pack_bool(inside.transpose(0, 2, 1).copy()).reshape(nt * k, -1))
         h = hashlib.sha256()
         h.update(b"PSHD-offsets")
         h.update(grid._canonical_bytes())
@@ -420,88 +430,61 @@ class BoxedAbstraction:
 
     # -- bulk primitives used by the synthesis fixed points ---------------
 
-    def _word_block(self, xs, ys):
-        """The words block around states with x and y coordinates `xs`
-        (ascending) and `ys`, as (x0, x1, y0, y1, shape): words are needed on
-        the states' x-y bounding box grown by the radius, [x0, x1) x [y0, y1);
-        the block they read is that box grown once more, zero past the x-y
-        faces, its heading padded by the cells across the wrap."""
-        nx, ny, nt = self.grid.shape
-        rx, ry, rt = self.reach_radius.tolist()
-        x0, x1 = max(int(xs[0]) - rx, 0), min(int(xs[-1]) + rx + 1, nx)
-        y0, y1 = max(int(ys.min()) - ry, 0), min(int(ys.max()) + ry + 1, ny)
-        return x0, x1, y0, y1, (x1 - x0 + 2 * rx, y1 - y0 + 2 * ry, nt + 2 * rt)
+    def _whole_columns(self, idx):
+        """The ascending x-y indices of the whole heading columns among the
+        ascending flat indices `idx`, per run of consecutive indices."""
+        nt = self.grid.shape[2]
+        if idx.size < nt:
+            return idx[:0]
+        cut = np.flatnonzero(idx[1:] - idx[:-1] != 1)
+        lo = -(-idx[np.concatenate(([0], cut + 1))] // nt)
+        n = np.maximum((idx[np.concatenate((cut, [-1]))] + 1) // nt - lo, 0)
+        return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
 
-    def _word_hits(self, cells, within=None):
-        """`pair_hits` by neighbourhood words on the states whose coordinate
-        arrays `cells` unravel ascending flat indices, without `row_alive`:
-        its work scales with the block around the states."""
-        shape = self.grid.shape
-        rad = [int(r) for r in self.reach_radius]
-        nt, rt = shape[2], rad[2]
-        xs, ys, ts = cells
-        x0, x1, y0, y1, block = self._word_block(xs, ys)
-        words = np.zeros(block + (self._kernels.shape[2],), dtype=np.uint64)
-        words[xs - x0 + rad[0], ys - y0 + rad[1], ts + rt, 0] = 1
-        words[:, :, :rt] = words[:, :, nt:nt + rt]
-        words[:, :, nt + rt:] = words[:, :, rt:2 * rt]
-        # one axis at a time, heading first: offset o along an axis sets bit
-        # o * (bits per step of that axis) of the word built so far
-        bits = 1
-        for axis in (2, 1, 0):
-            span = 2 * rad[axis] + 1
-            size = words.shape[axis] - span + 1
-            shifted = [words[(slice(None),) * axis + (slice(o, o + size),)] for o in range(span)]
-            acc = shifted[0].copy()
-            for o in range(1, span):
-                _or_shifted(acc, shifted[o], o * bits)
-            words = acc
-            bits *= span
-        near = words.any(axis=3)
-        if within is not None:
-            near &= within.reshape(shape)[x0:x1, y0:y1]
-        wx, wy, wt = np.nonzero(near)
-        rows = np.ravel_multi_index((wx + x0, wy + y0, wt), shape)
-        words = words[wx, wy, wt]
-        hits = np.empty((len(rows), self.n_inputs), dtype=bool)
-        for s in range(0, len(rows), _ROW_BLOCK):
-            blk = slice(s, s + _ROW_BLOCK)
-            both = np.take(self._kernels, wt[blk], axis=0)
-            both &= words[blk, None, :]
-            np.not_equal(both[..., 0], 0, out=hits[blk])
-            for lane in range(1, both.shape[2]):
-                hits[blk] |= both[..., lane] != 0
-        return rows, _pack_bool(hits)
+    def _column_hits(self, cols, within=None):
+        """`pair_hits` for the whole heading columns with ascending x-y
+        indices `cols`, without `row_alive`.  Columns with equal words have
+        equal hits, so the kernels meet each distinct word once; a sum of
+        the packed inputs of the kernels met is their OR."""
+        nt = self.grid.shape[2]
+        plane = np.zeros(self._plane_size, dtype=bool)
+        pos = self._plane_pos[cols]
+        plane[pos] = True
+        near = np.zeros_like(plane)
+        near[pos[:, None] - self._plane_steps] = True
+        near = np.flatnonzero(near[self._plane_pos])
+        words = _pack_bool(plane[self._plane_pos[near][:, None] + self._plane_steps])
+        words, word_of = np.unique(words[:, 0] if words.shape[1] == 1 else _rows(words), return_inverse=True)
+        lanes = self._xy_kernels.shape[1]
+        hit = (words.view(np.uint64).reshape(len(words), 1, lanes) & self._xy_kernels).any(axis=2)
+        table = (hit.astype(np.uint64) @ self._kernel_inputs).reshape(len(words), nt, self.stays.shape[1])
+        ci, ti = np.nonzero(np.ones((near.size, nt), dtype=bool) if within is None
+                            else within.reshape(-1, nt)[near])
+        return near[ci] * nt + ti, table[word_of[ci], ti]
 
-    def _scatter_hits(self, cells, within=None):
-        """`pair_hits` by predecessors on the states whose coordinate arrays
-        `cells` unravel ascending flat indices, without `row_alive`: its work
-        scales with the number of states times the K neighbourhood offsets.
-        State r and offset o name the predecessor p = r - o (none past an x-y
-        face; heading wraps), whose inputs with o in their box are column
-        (heading row of p) * K + o of `_pred_masks`; the columns of each
-        predecessor are ORed together."""
-        _, ny, nt = self.grid.shape
-        xs, ys, ts = cells
-        xy = xs * ny + ys
-        pred = (xy * nt + ts)[:, None] - self._pred_shift[ts]
+    def _scatter_hits(self, idx, within=None):
+        """`pair_hits` by predecessors on the ascending flat indices `idx`,
+        without `row_alive`: its work scales with the number of states times
+        the K neighbourhood offsets.  State r and offset o name the
+        predecessor p = r - o (none past an x-y face; heading wraps), whose
+        inputs with o in their box are row (heading row of p) * K + o of
+        `_pred_masks`; one subtract gives the sort keys (p << 32) | row, and
+        the rows of each predecessor are ORed together."""
+        xy, ts = np.divmod(idx, self.grid.shape[2])
+        keys = (idx << 32)[:, None] - self._pred_keys[ts]
         ok = self._pred_on_grid[xy]
         if within is not None:
-            ok &= within.take(pred, mode="clip")    # clipped reads are masked by ok
-        # one sort orders the (predecessor, column) pairs by predecessor;
-        # flat indices and columns fit in 32 bits each
-        pairs = (pred[ok] << 32) | self._pred_cols[ts][ok]
-        pairs.sort()
-        pred = pairs >> 32
-        cols = pairs & 0xFFFFFFFF
+            ok &= within.take(keys >> 32, mode="clip")    # clipped reads are masked by ok
+        keys = keys[ok]
+        keys.sort()
+        pred = keys >> 32
+        entry = keys & 0xFFFFFFFF
         first = np.empty(pred.size, dtype=bool)
         first[:1] = True
         np.not_equal(pred[1:], pred[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        hits = np.empty((starts.size, len(self._pred_masks)), dtype=np.uint64)
-        for w, lane in enumerate(self._pred_masks):
-            hits[:, w] = np.bitwise_or.reduceat(lane[cols], starts)
-        return pred[starts], hits
+        masks = self._pred_masks[entry].view(np.uint64).reshape(entry.size, self.stays.shape[1])
+        return pred[starts], np.bitwise_or.reduceat(masks, starts, axis=0)
 
     def pair_hits(self, removed, within=None, row_alive=None):
         """Pairs whose successor box intersects `removed`, as (rows, hits).
@@ -513,22 +496,29 @@ class BoxedAbstraction:
         `ControllerTable.masks`, (len(rows), ceil(n_inputs / 64)) uint64.
         States outside `rows` cannot hit.  `row_alive(rows) -> (len(rows),
         n_inputs) bool` narrows the result to pairs the caller still cares
-        about.
+        about.  A mask of another length than the states raises
+        UniverseMismatch.
 
-        The answer comes from the predecessors of the removed states when
-        there are no more (state, offset) pairs than shifted ORs to build
-        the words block (its cells times S), and from neighbourhood words
-        otherwise.  Both paths give the same answer.
+        The whole heading columns of the removed set are answered in the x-y
+        plane (`_column_hits`) when there are at least two, the other states
+        by their predecessors (`_scatter_hits`), and the two answers are
+        merged.  Each test answers the rows and hits the other would.
         """
-        idx = np.flatnonzero(removed) if removed.dtype == bool else removed
-        if idx.size == 0:
-            return idx, np.zeros((0, len(self._pred_masks)), dtype=np.uint64)
-        cells = np.unravel_index(idx, self.grid.shape)
-        pairs = idx.size * self._pred_cols.shape[1]
-        if pairs <= self._scatter_floor or pairs <= math.prod(self._word_block(*cells[:2])[-1]) * self._word_ors:
-            rows, hits = self._scatter_hits(cells, within)
+        _check_masks(self.n_states, removed, within)
+        idx = np.flatnonzero(removed) if removed.dtype == bool else np.asarray(removed, dtype=np.int64)
+        nt = self.grid.shape[2]
+        # two whole columns make at least two windows of nt consecutive states
+        two = idx.size >= 2 * nt and np.count_nonzero(idx[nt - 1:] - idx[:idx.size - nt + 1] == nt - 1) > 1
+        cols = self._whole_columns(idx) if two else idx[:0]
+        if cols.size < 2:
+            rows, hits = self._scatter_hits(idx, within)
         else:
-            rows, hits = self._word_hits(cells, within)
+            rows, hits = self._column_hits(cols, within)
+            if cols.size * nt < idx.size:
+                whole = np.zeros(self.n_states // nt, dtype=bool)
+                whole[cols] = True
+                rest = idx[~whole[idx // nt]]
+                rows, hits = _merge(rows, hits, *self._scatter_hits(rest, within))
         if row_alive is not None and len(rows):
             hits &= _pack_bool(row_alive(rows))
         return rows, hits
@@ -603,6 +593,7 @@ class ExplicitAbstraction:
 
     def pair_hits(self, removed, within=None, row_alive=None):
         """As `BoxedAbstraction.pair_hits`, but `rows` holds only states with a hit."""
+        _check_masks(self.n_states, removed, within)
         removed = removed if removed.dtype == bool else np.isin(np.arange(self.n_states), removed)
         hit = np.zeros(self.n_states * self.n_inputs, dtype=bool)
         flags = removed[self.succ]
@@ -631,7 +622,7 @@ def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -
     and the index shifts are floor(lo / eta) and ceil(hi / eta), which keeps
     the zero-motion case exact: a cell maps to itself alone.
     These shifts are the whole abstraction: `BoxedAbstraction` derives the
-    packed OUT complement `stays`, the hit-test kernels and every post-set from them.
+    packed OUT complement `stays`, the hit tests' tables and every post-set from them.
     """
     if grid.dims != 3 or grid.periodic[0] or grid.periodic[1] or not grid.periodic[2]:
         raise GridMismatch("vehicle abstraction expects (x, y, heading) with only the heading periodic")

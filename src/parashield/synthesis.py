@@ -18,9 +18,8 @@ The abstraction answers in the tables' own packing, so hits clear bits
 directly, and tables move whole rows: `_rows` views each row of words as one
 item, so a sweep's update (and a product's AND in `AtomicShieldBank`) is one
 gather, one AND and one scatter of the rows it touches.  A boxed abstraction
-answers a sweep from the removed states' predecessors or from neighbourhood
-words around them, whichever it estimates to be less work
-(`BoxedAbstraction.pair_hits`).
+answers a sweep's whole heading columns in the x-y plane and its other
+removed states from their predecessors (`BoxedAbstraction.pair_hits`).
 """
 
 from __future__ import annotations
@@ -274,8 +273,9 @@ def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None, touched=
     inputs reach the states just removed, gathers the rows it names whole,
     clears the packed hits in them, scatters them back, and finds the emptied
     ones in the gathered block; on a boxed abstraction that test works from
-    those states' region (their predecessors, or neighbourhood words around
-    them), so a sweep's work scales with the removed region, not the grid.
+    those states' region (the x-y columns next to their whole heading
+    columns, and the predecessors of the rest), so a sweep's work scales
+    with the removed region, not the grid.
     The removed states are an ascending index array, so no sweep touches a
     full-length array.  Hits need no narrowing to allowed inputs (clearing a
     clear bit does nothing), and a state leaves the domain with an empty row.

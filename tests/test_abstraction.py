@@ -20,7 +20,7 @@ from parashield.abstraction import (
     sin_bounds,
     wrap_angle,
 )
-from parashield.errors import GridMismatch, PointOutOfDomain
+from parashield.errors import GridMismatch, PointOutOfDomain, UniverseMismatch
 from parashield.synthesis import SafetySpec, _pack_bool, _unpack_bool, safety_control
 
 
@@ -550,7 +550,10 @@ def reach_dilation(grid, radius, member):
 
 def probe_sets(grid, rng):
     """Seeded random sets: sparse clusters, dense, on the x/y faces, across
-    the heading wrap, and empty."""
+    the heading wrap, and empty; then sets of whole heading columns: a
+    fence of the two column rings next to the x-y faces, unions of interior
+    columns, the whole grid, columns mixed with scattered states, and
+    columns on the faces and corners."""
     nx, ny, nt = grid.shape
     sets = []
     for _ in range(3):
@@ -570,6 +573,21 @@ def probe_sets(grid, rng):
     wrap[0, ny - 1, [nt - 1]] = True
     sets.append(wrap)
     sets.append(np.zeros(grid.shape, dtype=bool))
+    fence = np.ones(grid.shape, dtype=bool)
+    fence[2:-2, 2:-2] = False
+    sets.append(fence)
+    for n_cols in (2, 5):
+        interior = np.zeros(grid.shape, dtype=bool)
+        interior[rng.integers(1, nx - 1, size=n_cols), rng.integers(1, ny - 1, size=n_cols)] = True
+        sets.append(interior)
+    sets.append(np.ones(grid.shape, dtype=bool))
+    mixed = rng.random(grid.shape) < 0.02
+    mixed[rng.random((nx, ny)) < 0.1] = True
+    sets.append(mixed)
+    edge = np.zeros(grid.shape, dtype=bool)
+    edge[[0, 0, nx - 1, nx - 1, 0, nx - 1], [0, ny - 1, 0, ny - 1, ny // 2, ny // 2]] = True
+    edge[nx // 2, [0, ny - 1]] = True
+    sets.append(edge)
     return [s.reshape(-1) for s in sets]
 
 
@@ -580,9 +598,9 @@ def full_hits(sysm, rows, hits):
 
 
 def record_paths(boxed, monkeypatch):
-    """The list to which each later hit test of `boxed` appends its path's name."""
+    """The list to which each later hit test of `boxed` appends its name."""
     paths = []
-    for name in ("_word_hits", "_scatter_hits"):
+    for name in ("_column_hits", "_scatter_hits"):
         def counted(*args, _inner=getattr(boxed, name), _name=name):
             paths.append(_name)
             return _inner(*args)
@@ -590,10 +608,18 @@ def record_paths(boxed, monkeypatch):
     return paths
 
 
+def column_set(grid, cols):
+    """The mask of the whole heading columns with x-y indices `cols`."""
+    mask = np.zeros((grid.shape[0] * grid.shape[1], grid.shape[2]), dtype=bool)
+    mask[cols] = True
+    return mask.reshape(-1)
+
+
 class TestNeighbourhoodWords:
-    """The boxed abstraction's two hit tests, neighbourhood words and
-    predecessors, against each other and against the same relation held
-    explicitly, expanded from the per-pair reference ranges."""
+    """The boxed abstraction's two hit tests, whole heading columns in the
+    x-y plane and predecessors, against each other and against the same
+    relation held explicitly, expanded from the per-pair reference ranges;
+    and which of them `pair_hits` runs."""
 
     @pytest.fixture(scope="class")
     def coarse_pair(self):
@@ -605,43 +631,52 @@ class TestNeighbourhoodWords:
     def _pair(boxed):
         return boxed, explicit_reference(boxed)
 
-    def _check(self, boxed, explicit, rng):
+    def _check(self, boxed, explicit, rng, extra=()):
         n, m = boxed.n_states, boxed.n_inputs
-        for removed in probe_sets(boxed.grid, rng):
+        for removed in probe_sets(boxed.grid, rng) + list(extra):
             within = rng.random(n) < 0.7
             alive = rng.random((n, m)) < 0.6
             idx = np.flatnonzero(removed)
+            cols = boxed._whole_columns(idx)
+            columns = column_set(boxed.grid, cols)
+            nt = boxed.grid.shape[2]
+            assert np.array_equal(columns[::nt], removed.reshape(-1, nt).all(axis=1))
             for w in (None, within):
-                expect_rows = reach_dilation(boxed.grid, boxed.reach_radius, removed)
-                if w is not None:
-                    expect_rows &= w
-                expect_rows = np.flatnonzero(expect_rows)
-                erows, ehits = explicit.pair_hits(removed, within=w)
-                expect_hits = full_hits(explicit, erows, ehits)
-                # both paths on every nonempty set, whichever the dispatch picks
-                if idx.size:
-                    cells = np.unravel_index(idx, boxed.grid.shape)
-                    answers = [boxed._word_hits(cells, w), boxed._scatter_hits(cells, w)]
-                    for rows, hits in answers:
-                        assert np.array_equal(rows, expect_rows)
-                        assert np.array_equal(full_hits(boxed, rows, hits), expect_hits)
-                    assert np.array_equal(answers[0][0], answers[1][0])
-                    assert np.array_equal(answers[0][1], answers[1][1])
-                for row_alive in (None, lambda r: alive[r]):
+                # each test on the states it answers, whichever `pair_hits`
+                # picks; the predecessors on the whole set
+                expect = {}
+                for test, arg, part in ((boxed._scatter_hits, idx, removed), (boxed._column_hits, cols, columns)):
+                    key = part.tobytes()
+                    if key not in expect:
+                        near = reach_dilation(boxed.grid, boxed.reach_radius, part)
+                        expect[key] = (np.flatnonzero(near if w is None else near & w),
+                                       full_hits(explicit, *explicit.pair_hits(part, within=w)) if part.any()
+                                       else np.zeros((n, m), dtype=bool))
+                    rows, hits = test(arg, w)
+                    assert np.array_equal(rows, expect[key][0])
+                    assert np.array_equal(full_hits(boxed, rows, hits), expect[key][1])
+                expect_rows, expect_hits = expect[removed.tobytes()]
+                narrow = lambda r: alive[r]
+                # the ascending-index form answers exactly as the mask form,
+                # and `row_alive` narrows the hits
+                irows, ihits = explicit.pair_hits(idx, within=w, row_alive=narrow)
+                assert np.array_equal(irows, np.flatnonzero(expect_hits.any(axis=1)))
+                assert np.array_equal(full_hits(explicit, irows, ihits), expect_hits & alive)
+                for row_alive, want in ((None, expect_hits), (narrow, expect_hits & alive)):
                     rows, hits = boxed.pair_hits(removed, within=w, row_alive=row_alive)
-                    erows, ehits = explicit.pair_hits(removed, within=w, row_alive=row_alive)
-                    # the ascending-index form answers exactly as the mask form
-                    for sysm, mask_answer in ((boxed, (rows, hits)), (explicit, (erows, ehits))):
-                        irows, ihits = sysm.pair_hits(idx, within=w, row_alive=row_alive)
-                        assert np.array_equal(irows, mask_answer[0])
-                        assert np.array_equal(ihits, mask_answer[1])
+                    irows, ihits = boxed.pair_hits(idx, within=w, row_alive=row_alive)
+                    assert np.array_equal(irows, rows) and np.array_equal(ihits, hits)
                     assert np.array_equal(rows, expect_rows)
-                    assert np.array_equal(full_hits(boxed, rows, hits), full_hits(explicit, erows, ehits))
+                    assert np.array_equal(full_hits(boxed, rows, hits), want)
 
     def test_coarse_matches_explicit(self, coarse_pair, rng):
+        # the preset's own fence mask too: a cold synthesis removes it first
+        from parashield.bench import preset_config
+        from parashield.navsim import ColumnLayout
         boxed, explicit = coarse_pair
         assert np.prod(2 * boxed.reach_radius + 1) == 45
-        self._check(boxed, explicit, rng)
+        cfg = preset_config("coarse")
+        self._check(boxed, explicit, rng, extra=[ColumnLayout(cfg.grid, cfg.d).fence_mask()])
 
     def test_neighbourhood_over_64_bits(self, rng):
         # wide x-y disturbance and a heading disturbance past half the circle
@@ -653,10 +688,19 @@ class TestNeighbourhoodWords:
         boxed, explicit = self._pair(boxed)
         self._check(boxed, explicit, rng)
 
+    def test_xy_kernel_over_64_bits(self, rng):
+        # radius 4 in x and y: 81 x-y offsets, so the column test's kernels
+        # and words take two 64-bit lanes
+        boxed = build_abstraction(small_grid(12, 4), small_inputs(), small_params(w=(0.15, 0.15, 0.02)))
+        assert list(boxed.reach_radius[:2]) == [4, 4]
+        assert boxed._xy_kernels.shape[1] == 2
+        boxed, explicit = self._pair(boxed)
+        self._check(boxed, explicit, rng)
+
     def test_cold_synthesis_takes_both_paths(self, coarse_pair, monkeypatch):
-        # a cold descent's first sweep removes the whole unsafe region and is
-        # answered by words; its last sweeps remove a thin frontier and are
-        # answered by predecessors
+        # a cold descent's first sweep removes the fence and a column, whole
+        # heading columns answered in the x-y plane; its last sweeps remove a
+        # thin frontier and are answered by predecessors
         from parashield.bench import preset_config
         from parashield.navsim import make_atomics
         boxed, _ = coarse_pair
@@ -664,55 +708,44 @@ class TestNeighbourhoodWords:
         paths = record_paths(boxed, monkeypatch)
         sizes = []
         safety_control(boxed, SafetySpec(make_atomics(cfg.grid, cfg.d, cfg.epsilon)[1]), iteration_sizes=sizes)
-        assert paths[0] == "_word_hits" and paths[-1] == "_scatter_hits"
+        assert paths[0] == "_column_hits" and paths[-1] == "_scatter_hits"
         assert len(paths) == len(sizes) - 1
 
-    def test_dispatch_compares_estimated_work(self, coarse_pair, monkeypatch, rng):
-        # one full x-y column in the middle of the grid: more (state, offset)
-        # pairs than words-block cells B, but fewer than B times the S
-        # shifted ORs that build each word, so the predecessors answer; the
-        # whole grid has more pairs than B * S and is answered by words
+    def test_single_column_takes_predecessors(self, coarse_pair, monkeypatch, rng):
+        # one whole column is answered by predecessors, also among other
+        # states; two or more in the x-y plane, and with other states by both
         boxed, _ = coarse_pair
         nx, ny, nt = boxed.grid.shape
-        k = boxed._pred_cols.shape[1]
-        s = int(np.sum(2 * boxed.reach_radius + 1))
-        assert (k, s) == (45, 11)
         paths = record_paths(boxed, monkeypatch)
-        column = np.zeros(boxed.grid.shape, dtype=bool)
-        column[nx // 2, ny // 2] = True
-        for removed, path in ((column.reshape(-1), "_scatter_hits"),
-                              (np.ones(boxed.n_states, dtype=bool), "_word_hits")):
-            cells = np.unravel_index(np.flatnonzero(removed), boxed.grid.shape)
-            bx, by, bt = boxed._word_block(cells[0], cells[1])[-1]
-            pairs = np.count_nonzero(removed) * k
-            assert pairs > bx * by * bt
-            assert (pairs <= bx * by * bt * s) == (path == "_scatter_hits")
+        middle = nx // 2 * ny + ny // 2
+        scattered = np.zeros(boxed.n_states, dtype=bool)
+        scattered[rng.choice(boxed.n_states // 2, size=2 * nt, replace=False) * 2] = True
+        for removed, expect in ((column_set(boxed.grid, [middle]), ["_scatter_hits"]),
+                                (column_set(boxed.grid, [middle]) | scattered, ["_scatter_hits"]),
+                                (column_set(boxed.grid, [middle, middle + 3]), ["_column_hits"]),
+                                (column_set(boxed.grid, [middle, middle + 1]) | scattered,
+                                 ["_column_hits", "_scatter_hits"])):
             paths.clear()
             boxed.pair_hits(removed)
-            assert paths == [path]
-        # no words block has fewer cells than the one around a corner
-        # column; up to that floor times S over K states the predecessors
-        # answer without the block being measured, beyond it the full rule
-        # decides, and both pick the path the full rule picks
-        rx, ry, rt = boxed.reach_radius.tolist()
-        assert boxed._scatter_floor == (rx + 1 + 2 * rx) * (ry + 1 + 2 * ry) * (nt + 2 * rt) * s
-        floor = boxed._scatter_floor // k
-        assert floor == 97
-        block = boxed._word_block
-        corner = block(*np.unravel_index(np.arange(nt), boxed.grid.shape)[:2])[-1]
-        assert np.prod(corner) * s == boxed._scatter_floor
-        measured = []
-        monkeypatch.setattr(boxed, "_word_block", lambda xs, ys: measured.append(1) or block(xs, ys),
-                            raising=False)
-        for size in (floor, floor + 1):
-            for idx in (np.arange(size), np.sort(rng.choice(boxed.n_states, size=size, replace=False))):
-                cells = np.unravel_index(idx, boxed.grid.shape)
-                full = "_scatter_hits" if size * k <= np.prod(block(cells[0], cells[1])[-1]) * s else "_word_hits"
-                paths.clear()
-                measured.clear()
-                boxed.pair_hits(idx)
-                assert paths == [full]
-                assert len(measured) == (size > floor)
+            assert paths == expect
+
+    def test_warm_started_atomic_takes_predecessors(self, coarse_pair, monkeypatch):
+        # bank synthesis starts an atomic's descent from the base; where the
+        # base's domain holds the atomic's whole column, that one column is
+        # the first removal, answered by predecessors
+        from parashield.bench import preset_config
+        from parashield.navsim import make_atomics
+        boxed, _ = coarse_pair
+        cfg = preset_config("coarse")
+        atomics = make_atomics(cfg.grid, cfg.d, cfg.epsilon)
+        base = safety_control(boxed, SafetySpec(atomics[0]))
+        i = next(i for i in range(len(atomics) // 2, len(atomics))
+                 if base.defined[~atomics[i].mask & atomics[0].mask].all())
+        paths = record_paths(boxed, monkeypatch)
+        sizes = []
+        safety_control(boxed, SafetySpec(atomics[i]), iteration_sizes=sizes, warm_start=base)
+        assert sizes[0] == base.domain_size() - boxed.grid.shape[2]
+        assert paths[0] == "_scatter_hits"
 
 
 class TestPackedHits:
@@ -733,17 +766,19 @@ class TestPackedHits:
         assert np.array_equal(narrowed, hits & _pack_bool(alive[rows]))
 
     def test_boxed_both_paths(self, rng):
-        # 85 inputs, two words per row; a sparse and a dense set
+        # 85 inputs, two words per row; a sparse and a dense set, each with
+        # two whole heading columns
         from parashield.bench import preset_config
         cfg = preset_config("coarse")
         boxed = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
         padding = ~_pack_bool(np.ones(boxed.n_inputs, dtype=bool))
         for density in (0.0005, 0.3):
             removed = rng.random(boxed.n_states) < density
+            removed |= column_set(boxed.grid, [40, 300])
             self._check(boxed, removed, rng)
-            cells = np.unravel_index(np.flatnonzero(removed), boxed.grid.shape)
-            for path in (boxed._word_hits, boxed._scatter_hits):
-                _, hits = path(cells)
+            idx = np.flatnonzero(removed)
+            for path, arg in ((boxed._column_hits, boxed._whole_columns(idx)), (boxed._scatter_hits, idx)):
+                _, hits = path(arg)
                 assert hits.dtype == np.uint64 and not np.any(hits & padding)
 
     @pytest.mark.parametrize("m", [1, 64, 70, 130])
@@ -752,3 +787,29 @@ class TestPackedHits:
         post = {(x, u): rng.integers(0, n, size=2).tolist() for x in range(n) for u in range(m)}
         sysm = ExplicitAbstraction.from_map(n, m, post)
         self._check(sysm, rng.random(n) < 0.2, rng)
+
+
+class TestMaskLengths:
+    """`pair_hits` rejects a `removed` or `within` mask of another length
+    than the states, naming both sizes, on both abstractions."""
+
+    @pytest.mark.parametrize("kind", ["boxed", "explicit"])
+    @pytest.mark.parametrize("arg", ["removed", "within"])
+    def test_mask_of_another_length_rejected(self, kind, arg):
+        from parashield.bench import preset_config
+        cfg = preset_config("coarse")
+        boxed = build_abstraction(cfg.grid, cfg.inputs, cfg.params)
+        sysm = boxed if kind == "boxed" else explicit_reference(build_abstraction(
+            small_grid(), small_inputs(), small_params()))
+        n = sysm.n_states
+        for size in (n // 3, n - 1, n + 1):
+            removed, within = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+            removed[:5] = True
+            if arg == "removed":
+                removed = np.resize(removed, size)
+            else:
+                within = within[:size] if size < n else np.ones(size, dtype=bool)
+            with pytest.raises(UniverseMismatch) as info:
+                sysm.pair_hits(removed, within=within)
+            assert f"{size} entries" in str(info.value) and f"{n} states" in str(info.value)
+            assert arg in str(info.value)
