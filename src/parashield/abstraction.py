@@ -314,10 +314,16 @@ def reach_overapprox(cell_box, u, params: DubinsParams):
 
 
 def _check_masks(n_states, removed, within):
-    """Raise UniverseMismatch unless `pair_hits`' masks have n_states entries."""
-    for name, mask in (("removed", removed), ("within", within)):
-        if mask is not None and mask.dtype == bool and mask.size != n_states:
-            raise UniverseMismatch(f"a {name} mask of {mask.size} entries for {n_states} states")
+    """The number of states that `pair_hits` answers for: n_states, or
+    `within`'s length when it holds a whole number of copies of them.
+    Raises UniverseMismatch, naming both sizes, for a `within` of another
+    length or a `removed` mask of another length than that."""
+    size = n_states if within is None else within.size
+    if size % n_states or not size:
+        raise UniverseMismatch(f"a within mask of {size} entries for {n_states} states")
+    if removed.dtype == bool and removed.size != size:
+        raise UniverseMismatch(f"a removed mask of {removed.size} entries for {size} states")
+    return size
 
 
 def _merge(rows, hits, more_rows, more_hits):
@@ -365,6 +371,7 @@ class BoxedAbstraction:
     at least two, and predecessors for every other member.  One column, the
     start of a warm-started atomic's descent, is nt * K pairs, which on the
     preset grids cost less than the column test's fixed work over its plane.
+    Both answer for stacked copies of the states (see `pair_hits`).
     """
 
     def __init__(self, grid: GridSpec, inputs: InputGrid, params: DubinsParams, offsets):
@@ -443,17 +450,23 @@ class BoxedAbstraction:
 
     def _column_hits(self, cols, within=None):
         """`pair_hits` for the whole heading columns with ascending x-y
-        indices `cols`, without `row_alive`.  Columns with equal words have
-        equal hits, so the kernels meet each distinct word once; a sum of
-        the packed inputs of the kernels met is their OR."""
+        indices `cols`, without `row_alive`; the x-y columns of copy j of
+        the states lie in the padded plane at j * `_plane_size`.  Columns
+        with equal words have equal hits, so the kernels meet each distinct
+        word once; a sum of the packed inputs of the kernels met is their
+        OR."""
         nt = self.grid.shape[2]
-        plane = np.zeros(self._plane_size, dtype=bool)
-        pos = self._plane_pos[cols]
+        copies = 1 if within is None else within.size // self.n_states
+        at = self._plane_pos
+        if copies > 1:
+            at = (np.arange(copies)[:, None] * self._plane_size + at).reshape(-1)
+        plane = np.zeros(copies * self._plane_size, dtype=bool)
+        pos = at[cols]
         plane[pos] = True
         near = np.zeros_like(plane)
         near[pos[:, None] - self._plane_steps] = True
-        near = np.flatnonzero(near[self._plane_pos])
-        words = _pack_bool(plane[self._plane_pos[near][:, None] + self._plane_steps])
+        near = np.flatnonzero(near[at])
+        words = _pack_bool(plane[at[near][:, None] + self._plane_steps])
         words, word_of = np.unique(words[:, 0] if words.shape[1] == 1 else _rows(words), return_inverse=True)
         lanes = self._xy_kernels.shape[1]
         hit = (words.view(np.uint64).reshape(len(words), 1, lanes) & self._xy_kernels).any(axis=2)
@@ -469,10 +482,12 @@ class BoxedAbstraction:
         predecessor p = r - o (none past an x-y face; heading wraps), whose
         inputs with o in their box are row (heading row of p) * K + o of
         `_pred_masks`; one subtract gives the sort keys (p << 32) | row, and
-        the rows of each predecessor are ORed together."""
+        the rows of each predecessor are ORed together.  The x-y face test
+        reads r's column modulo the plane, so p stays in r's copy of the
+        states."""
         xy, ts = np.divmod(idx, self.grid.shape[2])
         keys = (idx << 32)[:, None] - self._pred_keys[ts]
-        ok = self._pred_on_grid[xy]
+        ok = self._pred_on_grid[xy % len(self._pred_on_grid)]
         if within is not None:
             ok &= within.take(keys >> 32, mode="clip")    # clipped reads are masked by ok
         keys = keys[ok]
@@ -496,15 +511,21 @@ class BoxedAbstraction:
         `ControllerTable.masks`, (len(rows), ceil(n_inputs / 64)) uint64.
         States outside `rows` cannot hit.  `row_alive(rows) -> (len(rows),
         n_inputs) bool` narrows the result to pairs the caller still cares
-        about.  A mask of another length than the states raises
-        UniverseMismatch.
+        about.
+
+        A `within` of k * n_states entries asks about k independent copies
+        of the states at once: state j * n_states + x is copy j's state x,
+        and each copy's rows and hits are what it alone would get, its rows
+        moved by j * n_states.  A `within` whose length is not such a
+        multiple, or a `removed` mask of another length than `within` (than
+        the states, without one), raises UniverseMismatch.
 
         The whole heading columns of the removed set are answered in the x-y
         plane (`_column_hits`) when there are at least two, the other states
         by their predecessors (`_scatter_hits`), and the two answers are
         merged.  Each test answers the rows and hits the other would.
         """
-        _check_masks(self.n_states, removed, within)
+        size = _check_masks(self.n_states, removed, within)
         idx = np.flatnonzero(removed) if removed.dtype == bool else np.asarray(removed, dtype=np.int64)
         nt = self.grid.shape[2]
         # two whole columns make at least two windows of nt consecutive states
@@ -515,7 +536,7 @@ class BoxedAbstraction:
         else:
             rows, hits = self._column_hits(cols, within)
             if cols.size * nt < idx.size:
-                whole = np.zeros(self.n_states // nt, dtype=bool)
+                whole = np.zeros(size // nt, dtype=bool)
                 whole[cols] = True
                 rest = idx[~whole[idx // nt]]
                 rows, hits = _merge(rows, hits, *self._scatter_hits(rest, within))
@@ -592,13 +613,15 @@ class ExplicitAbstraction:
         return cls(n_states, n_inputs, indptr, succ, out)
 
     def pair_hits(self, removed, within=None, row_alive=None):
-        """As `BoxedAbstraction.pair_hits`, but `rows` holds only states with a hit."""
-        _check_masks(self.n_states, removed, within)
-        removed = removed if removed.dtype == bool else np.isin(np.arange(self.n_states), removed)
-        hit = np.zeros(self.n_states * self.n_inputs, dtype=bool)
-        flags = removed[self.succ]
-        hit[self._pair_of[flags]] = True
-        hit = hit.reshape(self.n_states, self.n_inputs)
+        """As `BoxedAbstraction.pair_hits`, but `rows` holds only states with
+        a hit; copies of the states are the rows of `removed` as (k, n_states)."""
+        size = _check_masks(self.n_states, removed, within)
+        removed = removed if removed.dtype == bool else np.isin(np.arange(size), removed)
+        flags = removed.reshape(-1, self.n_states)[:, self.succ]
+        hit = np.zeros((len(flags), self.n_states * self.n_inputs), dtype=bool)
+        copy, at = np.nonzero(flags)
+        hit[copy, self._pair_of[at]] = True
+        hit = hit.reshape(size, self.n_inputs)
         keep = hit.any(axis=1)
         if within is not None:
             keep &= within

@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 
 NO_SHIFT = np.iinfo(np.int64).min    # the shift of an atomic that does not use the template
 _REWRITE_ATOMICS = 128    # atomics rewritten against the template at once: bounds its temporaries
+_STACK_BYTES = 1 << 20    # bound on the work table that narrows several atomics at once
 
 
 @dataclass
@@ -187,21 +188,27 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     """Offline phase: one safety-controller synthesis per atomic safe set.
 
     `atomics` is a `StateSets` or a plain iterable of `StateSet`s; the sets
-    are stored against the safe set of atomic `base_id`, or without one
-    against a sequence's reference set or the full set.  The base is the
-    controller of that reference set, so it is nonblocking.  Every safe set
-    must lie inside it (the encoding raises a ValueError naming the first
-    atomic that leaves it before anything is synthesized), so every run
-    starts from the base's fixed point (shorter descent, same result) and its
-    table is a sub-controller of the base.  All runs share one work copy of
-    the base: its unsafe states leave the domain, `_narrow` runs from there
-    and records the rows it writes, the rows among those whose masks differ
-    from the base's are the diff, and copying them back from the base
-    restores the work table.
-    A run costs in proportion to the rows it touches, not to the grid, and
-    only the base and the work table are alive.  Progress goes to this
-    module's logger: one DEBUG record per atomic, whose `atomic`, `atomics`
-    and `diff_rows` attributes give its index, the total and its diff size.
+    are stored against the safe set of atomic `base_id` (negative ids count
+    from the end, as in a list), or without one against a sequence's
+    reference set or the full set.  The base is the controller of that
+    reference set, so it is nonblocking.  Every safe set must lie inside it
+    (the encoding raises a ValueError naming the first atomic that leaves it
+    before anything is synthesized), so every run starts from the base's
+    fixed point (shorter descent, same result) and its table is a
+    sub-controller of the base.
+
+    The atomics are narrowed k at a time, in index order, on one work table
+    that stacks k copies of the base (copy j's state x is row j * n + x):
+    k is as many as fit `_STACK_BYTES`, at least one.  Each copy's unsafe
+    states leave its domain, and one `_narrow` run narrows every copy as if
+    it were alone, recording the rows it writes.  The rows among those whose
+    masks differ from the base's are the copies' diffs, and copying them
+    back from the base restores the work table.  A run costs in proportion
+    to the rows it touches, not to the grid, and only the base and the work
+    table are alive; stacking shares the fixed cost of each `pair_hits`
+    call among k small atomics.  Progress goes to this module's logger: one
+    DEBUG record per atomic, in index order, whose `atomic`, `atomics` and
+    `diff_rows` attributes give its index, the total and its diff size.
 
     Once every diff is known, they are rewritten against one template, many
     atomics at a time (`_against_template`).  The template is the diff of
@@ -220,34 +227,55 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     if not isinstance(atomics, StateSets):
         atomics = list(atomics)
         atomics = StateSets.encode(atomics, StateSet.full(sys.n_states) if base_id is None else atomics[base_id])
-    elif base_id is not None and atomics.ptr[base_id] < atomics.ptr[base_id + 1]:
-        # the base atomic lacks states of the reference: encoding against
-        # its set checks every set against it
-        atomics = StateSets.encode(atomics, atomics[base_id])
+    elif base_id is not None:
+        base_id = range(len(atomics))[base_id]
+        if atomics.ptr[base_id] < atomics.ptr[base_id + 1]:
+            # the base atomic lacks states of the reference: encoding against
+            # its set checks every set against it
+            atomics = StateSets.encode(atomics, atomics[base_id])
     base = safety_control(sys, SafetySpec(StateSet(atomics.ref)))
-    work = base.copy()
+    n, words = base.masks.shape
+    k = max(1, min(len(atomics), _STACK_BYTES // (n * (8 * words + 1))))
+    work = base.tile(k)
     base_rows, work_rows = _rows(base.masks), _rows(work.masks)
 
-    def warm_delta(i):
+    def stack_diffs(first, stop):
+        # copy j loses atomic first + j's lacked states in the base's domain,
+        # ascending because each atomic's are; the copies of a short last
+        # stack past its atomics lose nothing and stay as they are
+        lacks = atomics.idx[atomics.ptr[first]:atomics.ptr[stop]]
+        at = np.repeat(np.arange(stop - first) * n, np.diff(atomics.ptr[first:stop + 1]))
         touched = []
-        _narrow(sys, work, base.defined & ~atomics[i].mask, touched=touched)
+        _narrow(sys, work, (lacks + at)[base.defined[lacks]], touched=touched)
         # several sweeps can write one row; the diff lists it once, ascending
         rows = np.sort(np.concatenate(touched))
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        rows = rows[first]
-        now, was = work_rows[rows], base_rows[rows]
+        first_of = np.ones(rows.size, dtype=bool)
+        first_of[1:] = rows[1:] != rows[:-1]
+        rows = rows[first_of]
+        states = rows % n
+        now, was = work_rows[rows], base_rows[states]
         # both tables are nonblocking, so a row's mask also gives its domain bit
         changed = now != was
-        rows, now, was = rows[changed], now[changed], was[changed]
-        if np.any(now.view(np.uint64) & ~was.view(np.uint64)):
-            raise ValueError(f"atomic {i} is not a sub-controller of the base; delta storage is invalid")
-        work_rows[rows], work.defined[rows] = was, base.defined[rows]
-        logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), len(rows),
-                     extra={"atomic": i, "atomics": len(atomics), "diff_rows": len(rows)})
-        return rows, now.view(np.uint64).reshape(len(rows), base.words)
+        rows, states, now, was = rows[changed], states[changed], now[changed], was[changed]
+        work_rows[rows], work.defined[rows] = was, base.defined[states]
+        now = now.view(np.uint64).reshape(len(rows), words)
+        wider = now & ~was.view(np.uint64).reshape(len(rows), words)
+        bad = first + rows[np.flatnonzero(wider.any(axis=1))[0]] // n if wider.any() else stop
+        cut = np.searchsorted(rows, np.arange(stop - first + 1) * n).tolist()
+        diffs = []
+        for j, i in enumerate(range(first, stop)):
+            if i == bad:
+                raise ValueError(f"atomic {i} is not a sub-controller of the base; delta storage is invalid")
+            a, b = cut[j], cut[j + 1]
+            logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), b - a,
+                         extra={"atomic": i, "atomics": len(atomics), "diff_rows": b - a})
+            diffs.append((states[a:b], now[a:b]))
+        return diffs
 
-    diffs = [warm_delta(i) for i in range(len(atomics))]
+    diffs = []
+    for first in range(0, len(atomics), k):
+        diffs += stack_diffs(first, min(first + k, len(atomics)))
+    del work
     ptr = np.cumsum([0] + [len(rows) for rows, _ in diffs], dtype=np.int64)
     idx, masks = (np.concatenate(parts) for parts in zip(*diffs))
     del diffs

@@ -6,10 +6,11 @@ domain, asks the abstraction its one bulk question, "which pairs have a
 successor in this set", about the states just dropped, clears those inputs
 and drops the rows that emptied, until no row empties.  Synthesis starts it
 from the universe controller (or a warm start) narrowed to the safe set,
-bank synthesis from a shared work copy of the base narrowed to each atomic's
-safe set (the loop reports the rows it writes, so the diff and the restore
-cost what the atomic changes), nonblocking pruning from a product's undefined
-and blocking states, and `compose` from a raw product's blocking states.
+bank synthesis from one work table that stacks several copies of the base,
+each narrowed to one atomic's safe set in the same run (the loop reports the
+rows it writes, so the diffs and the restore cost what the atomics change),
+nonblocking pruning from a product's undefined and blocking states, and
+`compose` from a raw product's blocking states.
 Once a pair has a successor outside the shrinking domain it stays
 disallowed, so each sweep only re-tests pairs whose successor box meets the
 freshly removed cells.
@@ -225,6 +226,14 @@ class ControllerTable:
         tab.defined, tab.masks = self.defined.copy(), self.masks.copy()
         return tab
 
+    def tile(self, k):
+        """k copies of this table stacked, copy j's state x at row
+        j * n_states + x, as `pair_hits` and `_narrow` take them."""
+        tab = copy.copy(self)
+        tab.n_states = k * self.n_states
+        tab.defined, tab.masks = np.tile(self.defined, k), np.tile(self.masks, (k, 1))
+        return tab
+
 
 def controller_equal(c1: ControllerTable, c2: ControllerTable) -> bool:
     """True iff domains and every allowed set coincide."""
@@ -263,10 +272,12 @@ def universe_controller(sys) -> ControllerTable:
 
 
 def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None, touched=None):
-    """Greatest fixed point below `table` once the states of the mask
-    `removed` leave its domain, in place: their rows are cleared, inputs with
-    a successor outside the domain are cleared, and states left with no input
-    leave it in turn.
+    """Greatest fixed point below `table` once the states `removed` (a
+    boolean mask or ascending indices) leave its domain, in place: their rows
+    are cleared, inputs with a successor outside the domain are cleared, and
+    states left with no input leave it in turn.  A table of k * n_states
+    rows is k independent copies of the states, each narrowed as alone
+    (`pair_hits` answers for copies).
 
     The callers make sure that no allowed input is OUT or leads outside the
     domain except into `removed`.  Each sweep asks `sys.pair_hits` which
@@ -287,7 +298,8 @@ def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None, touched=
     """
     d = table.defined
     allowed = _rows(table.masks)
-    removed = np.flatnonzero(removed)
+    if removed.dtype == bool:
+        removed = np.flatnonzero(removed)
     table.masks[removed] = 0
     d[removed] = False
     if touched is not None:

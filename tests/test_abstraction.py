@@ -813,3 +813,119 @@ class TestMaskLengths:
                 sysm.pair_hits(removed, within=within)
             assert f"{size} entries" in str(info.value) and f"{n} states" in str(info.value)
             assert arg in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["boxed", "explicit"])
+    def test_stacked_mask_lengths_rejected(self, kind):
+        # a `within` for copies of the states holds a whole number of them,
+        # and a `removed` mask as many entries as `within`
+        from parashield.bench import preset_config
+        cfg = preset_config("coarse")
+        sysm = build_abstraction(cfg.grid, cfg.inputs, cfg.params) if kind == "boxed" else explicit_reference(
+            build_abstraction(small_grid(), small_inputs(), small_params()))
+        n = sysm.n_states
+        for arg, size, removed, within in (
+                *(("within", size, size, size) for size in (0, 2 * n - 1, 2 * n + 1, 3 * n + n // 2)),
+                *(("removed", size, size, 2 * n) for size in (n, 2 * n - 1, 3 * n))):
+            removed = np.zeros(removed, dtype=bool)
+            removed[:5] = True
+            with pytest.raises(UniverseMismatch) as info:
+                sysm.pair_hits(removed, within=np.ones(within, dtype=bool))
+            states = n if arg == "within" else 2 * n
+            assert f"a {arg} mask of {size} entries for {states} states" in str(info.value)
+
+
+def stacked(sysm, removed, within, test=None):
+    """What copy j of the states answers alone, for every j, its rows moved
+    by j * n: by `pair_hits`, or by a hit test `test(arg, within)` that gets
+    `arg(copy's removed mask)`."""
+    n = sysm.n_states
+    rows, hits = [], []
+    for j in range(within.size // n):
+        part, w = removed[j * n:(j + 1) * n], within[j * n:(j + 1) * n]
+        r, h = sysm.pair_hits(part, within=w) if test is None else test[0](test[1](part), w)
+        rows.append(r + j * n)
+        hits.append(h)
+    return np.concatenate(rows), np.concatenate(hits)
+
+
+class TestStackedCopies:
+    """`pair_hits` on k copies of the states (a `within` of k * n entries)
+    answers exactly what each copy answers alone, its rows moved by j * n
+    and its hits the same, on both abstractions and through both boxed hit
+    tests."""
+
+    @pytest.fixture(scope="class")
+    def boxed(self):
+        from parashield.bench import preset_config
+        cfg = preset_config("coarse")
+        return build_abstraction(cfg.grid, cfg.inputs, cfg.params)
+
+    @staticmethod
+    def _check(sysm, removed, within):
+        expect_rows, expect_hits = stacked(sysm, removed, within)
+        for arg in (removed, np.flatnonzero(removed)):
+            rows, hits = sysm.pair_hits(arg, within=within)
+            assert np.array_equal(rows, expect_rows)
+            assert np.array_equal(hits, expect_hits)
+
+    @staticmethod
+    def _copies(boxed, columns, scattered=()):
+        """Three copies of the states: whole heading columns (copy, x, y)
+        and single states (copy, x, y, heading row)."""
+        nx, ny, nt = boxed.grid.shape
+        removed = np.zeros((3, nx, ny, nt), dtype=bool)
+        for j, x, y in columns:
+            removed[j, x, y] = True
+        for j, x, y, t in scattered:
+            removed[j, x, y, t] = True
+        return removed.reshape(-1)
+
+    def test_boxed_copies_answer_alone(self, boxed, monkeypatch, rng):
+        nx, ny, nt = boxed.grid.shape
+        # copy 0's last column (x = nx - 1) and copy 1's first (x = 0) are
+        # neighbours in the stacked flat order; each copy holds one or two
+        # whole columns, so alone it may take predecessors where the stack
+        # takes the column test
+        columns = [(0, nx - 1, ny - 1), (0, 3, 5), (1, 0, 0), (1, 0, ny // 2), (2, nx - 1, 0)]
+        single = [(0, nx - 1, ny - 1), (1, 0, 0)]
+        # states on the x = 0 and x = nx - 1 faces next to a copy boundary,
+        # fewer than a column each
+        faces = [(0, nx - 1, ny - 1, t) for t in range(0, nt, 2)] + [(1, 0, 0, t) for t in range(1, nt, 3)]
+        faces += [(2, nx - 1, y, int(t)) for y, t in zip(range(ny), rng.integers(nt, size=ny))]
+        faces += [(j, int(x), int(y), int(t)) for j, x, y, t in zip(rng.integers(3, size=40), rng.integers(nx, size=40),
+                                                                      rng.integers(ny, size=40), rng.integers(nt, size=40))]
+        paths = record_paths(boxed, monkeypatch)
+        for removed, expect in ((self._copies(boxed, columns), ["_column_hits"]),
+                                (self._copies(boxed, single), ["_column_hits"]),
+                                (self._copies(boxed, (), faces), ["_scatter_hits"]),
+                                (self._copies(boxed, columns, faces), ["_column_hits", "_scatter_hits"])):
+            for within in (np.ones(removed.size, dtype=bool), rng.random(removed.size) < 0.7):
+                self._check(boxed, removed, within)
+                paths.clear()
+                boxed.pair_hits(removed, within=within)
+                assert paths == expect
+
+    def test_boxed_hit_tests_answer_per_copy(self, boxed, rng):
+        # each hit test on its own: columns spread over the copies, including
+        # the faces next to a copy boundary, and scattered states
+        nx, ny, nt = boxed.grid.shape
+        columns = [(0, nx - 1, ny - 1), (1, 0, 0), (1, nx - 1, 2), (2, 0, ny - 1), (2, 7, 9)]
+        scattered = [(0, nx - 1, ny - 1, 3), (1, 0, 0, nt - 1), (2, 0, 4, 0), (2, 12, 12, 5)]
+        removed = self._copies(boxed, columns, scattered)
+        within = rng.random(removed.size) < 0.7
+        for test, arg in ((boxed._column_hits, lambda part: boxed._whole_columns(np.flatnonzero(part))),
+                          (boxed._scatter_hits, np.flatnonzero)):
+            rows, hits = test(arg(removed), within)
+            expect_rows, expect_hits = stacked(boxed, removed, within, test=(test, arg))
+            assert np.array_equal(rows, expect_rows)
+            assert np.array_equal(hits, expect_hits)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_explicit_copies_answer_alone(self, rng, copies):
+        for m in (3, 70):
+            n = 40
+            post = {(x, u): rng.integers(0, n, size=2).tolist() for x in range(n) for u in range(m)}
+            sysm = ExplicitAbstraction.from_map(n, m, post)
+            for density in (0.05, 0.4):
+                removed = rng.random(copies * n) < density
+                self._check(sysm, removed, rng.random(copies * n) < 0.7)

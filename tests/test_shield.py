@@ -29,6 +29,7 @@ from parashield.synthesis import (
     StateSets,
     _narrow,
     _rows,
+    _unpack_bool,
     closure_holds,
     controller_equal,
     safety_control,
@@ -270,6 +271,144 @@ class TestSynthesizeBank:
         monkeypatch.setattr(shield_mod, "_narrow", no_synthesis)
         with pytest.raises(ValueError, match="atomic 2"):
             synthesize_bank(sysm, atomics, base_id=0)
+
+    def test_negative_and_out_of_range_base_id_as_for_a_list(self, rng):
+        # `base_id` counts from the end when negative, for a sequence as for
+        # a list; past either end it names no atomic
+        sysm = random_system(rng, max_states=40)
+        n = sysm.n_states
+        full = StateSet.full(n)
+        base = random_state_set(rng, n, density=0.8)
+        base.mask[0] = False
+        a, b = base & random_state_set(rng, n), base & random_state_set(rng, n)
+        banks = []
+        for form in ([a, b, base], StateSets.encode([a, b, base], full)):
+            banks.append(synthesize_bank(sysm, form, base_id=-1))
+            assert np.array_equal(banks[-1].safes.ref, base.mask)
+        assert controller_equal(banks[0].base, banks[1].base)
+        for x, y in zip(stored(banks[0]), stored(banks[1])):
+            assert np.array_equal(x, y)
+        for i, s in enumerate([a, b, base]):
+            assert controller_equal(banks[1].table(i), safety_control(sysm, SafetySpec(s)))
+        for form in ([full, b, a], StateSets.encode([full, b, a], full)):
+            with pytest.raises(ValueError, match="atomic 0's safe set leaves the reference set"):
+                synthesize_bank(sysm, form, base_id=-1)
+            for base_id in (-4, 3):
+                with pytest.raises(IndexError):
+                    synthesize_bank(sysm, form, base_id=base_id)
+
+
+def stack_bytes(sysm, k):
+    """The `_STACK_BYTES` at which bank synthesis on `sysm` narrows k atomics at once."""
+    return k * sysm.n_states * (8 * ((sysm.n_inputs + 63) // 64) + 1)
+
+
+def stacked_synthesis(monkeypatch, caplog, sysm, atomics, k, narrow=None):
+    """Bank synthesis with base_id 0 narrowing k atomics at once (None: as
+    many as `_STACK_BYTES` gives), as (bank, DEBUG records as (atomic,
+    atomics, diff_rows), the row count of every `_narrow` run's table); a
+    ValueError it raises stands in for the bank.  `narrow` replaces
+    `_narrow` in the module."""
+    import parashield.shield as shield_mod
+    with monkeypatch.context() as patch:
+        if k is not None:
+            patch.setattr(shield_mod, "_STACK_BYTES", stack_bytes(sysm, k))
+        runs = []
+
+        def counted(sys, table, removed, **kwargs):
+            runs.append(table.n_states)
+            return (narrow or _narrow)(sys, table, removed, **kwargs)
+
+        patch.setattr(shield_mod, "_narrow", counted)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="parashield.shield"):
+            try:
+                bank = synthesize_bank(sysm, atomics, base_id=0)
+            except ValueError as err:
+                bank = err
+    records = [(r.atomic, r.atomics, r.diff_rows) for r in caplog.records if r.name == "parashield.shield"]
+    return bank, records, runs
+
+
+class TestStackedBankSynthesis:
+    """Narrowing several atomics at once on one stacked work table gives
+    the bank, the progress records and the errors of narrowing them one at
+    a time, whatever the stack size and however short the last stack."""
+
+    @staticmethod
+    def _check_sizes(sysm, atomics, monkeypatch, caplog, default_k):
+        n = sysm.n_states
+        one, records, runs = stacked_synthesis(monkeypatch, caplog, sysm, atomics, 1)
+        assert runs == [n] * 7
+        assert [r[0] for r in records] == list(range(7)) and all(r[1] == 7 for r in records)
+        assert [r[2] for r in records] == [len(rows) for rows, _ in bank_diffs(one)]
+        # seven atomics leave the last stack of two or three short; it runs
+        # on the whole work table
+        for k, patched in ((2, 2), (3, 3), (default_k, None)):
+            bank, got, runs = stacked_synthesis(monkeypatch, caplog, sysm, atomics, patched)
+            assert runs == [k * n] * -(-7 // k)
+            assert got == records
+            assert controller_equal(bank.base, one.base)
+            for x, y in zip(stored(bank), stored(one)):
+                assert np.array_equal(x, y)
+
+    def test_coarse_bank_does_not_depend_on_stack_size(self, coarse_rt, rng, monkeypatch, caplog):
+        # the coarse preset stacks four atomics of its own accord
+        safes = coarse_rt.bank.safes
+        ids = [0] + sorted(int(i) for i in rng.choice(np.arange(1, len(safes)), size=6, replace=False))
+        atomics = [safes[i] for i in ids]
+        self._check_sizes(coarse_rt.sys, atomics, monkeypatch, caplog, 4)
+        bank, _, _ = stacked_synthesis(monkeypatch, caplog, coarse_rt.sys, atomics, 3)
+        for k, i in enumerate(ids):
+            assert controller_equal(bank.table(k), coarse_rt.bank.table(i))
+
+    def test_random_bank_does_not_depend_on_stack_size(self, rng, monkeypatch, caplog):
+        # a small system stacks every atomic of its own accord
+        diff_rows = 0
+        for _ in range(10):
+            sysm = random_system(rng, max_states=40)
+            n = sysm.n_states
+            base = random_state_set(rng, n, density=0.95)
+            atomics = [base, StateSet.empty(n)] + [base & random_state_set(rng, n) for _ in range(5)]
+            self._check_sizes(sysm, atomics, monkeypatch, caplog, 7)
+            bank, records, _ = stacked_synthesis(monkeypatch, caplog, sysm, atomics, 3)
+            diff_rows += sum(r[2] for r in records)
+            for i, s in enumerate(atomics):
+                assert controller_equal(bank.table(i), safety_control(sysm, SafetySpec(s)))
+        assert diff_rows
+
+    @pytest.mark.parametrize("bad", [4, 5])
+    def test_non_sub_controller_named_inside_its_stack(self, rng, monkeypatch, caplog, bad):
+        # a narrowing that leaves atomic `bad` with an input the base lacks;
+        # with three atomics at a time it is second or last in its stack
+        while True:
+            sysm = random_system(rng, max_states=40)
+            n = sysm.n_states
+            base = random_state_set(rng, n, density=0.95)
+            cold = safety_control(sysm, SafetySpec(base))
+            lacking = np.argwhere(~_unpack_bool(cold.masks, sysm.n_inputs))
+            if lacking.size and cold.domain_size():
+                break
+        x, u = (int(v) for v in lacking[rng.integers(len(lacking))])
+        atomics = [base] + [base & random_state_set(rng, n) for _ in range(6)]
+
+        def widening(sys, table, removed, touched, done):
+            _narrow(sys, table, removed, touched=touched)
+            copies = table.n_states // n
+            if done[0] <= bad < done[0] + copies:
+                row = (bad - done[0]) * n + x
+                table.masks[row, u // 64] |= np.uint64(1) << np.uint64(u % 64)
+                touched.append(np.array([row]))
+            done[0] += copies
+            return table
+
+        for k in (1, 2, 3):
+            # the atomics narrowed so far
+            done = [0]
+            err, records, _ = stacked_synthesis(monkeypatch, caplog, sysm, atomics, k,
+                                                narrow=lambda *a, **kw: widening(*a, **kw, done=done))
+            assert isinstance(err, ValueError) and f"atomic {bad} is not a sub-controller" in str(err)
+            assert [r[0] for r in records] == list(range(bad))
 
 
 class TestCompose:
