@@ -43,7 +43,7 @@ from .synthesis import (
 logger = logging.getLogger(__name__)
 
 NO_SHIFT = np.iinfo(np.int64).min    # the shift of an atomic that does not use the template
-_REWRITE_ATOMICS = 128    # atomics rewritten against the template at once: bounds its temporaries
+_REWRITE_ATOMICS = 64     # atomics rewritten against the template at once: bounds its temporaries
 _STACK_BYTES = 1 << 20    # bound on the work table that narrows several atomics at once
 
 
