@@ -374,10 +374,9 @@ class BoxedAbstraction:
     Both answer for stacked copies of the states (see `pair_hits`).
     """
 
-    def __init__(self, grid: GridSpec, inputs: InputGrid, params: DubinsParams, offsets):
+    def __init__(self, grid: GridSpec, inputs: InputGrid, offsets):
         self.grid = grid
         self.inputs = inputs
-        self.params = params
         self.offsets = offsets
         self.n_states = grid.n_cells
         self.n_inputs = len(inputs)
@@ -655,5 +654,5 @@ def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -
     # per (heading row, input) index shifts; the image interval is half-open
     # at the top because cells are, so the upper shift uses ceil
     offsets = np.stack([np.floor(lo / eta), np.ceil(hi / eta)], axis=-1).astype(np.int64)
-    return BoxedAbstraction(grid, inputs, params, offsets)
+    return BoxedAbstraction(grid, inputs, offsets)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .navsim import (
     WorldParams,
     feasible_world,
     make_atomics,
-    make_sensing_config,
     run_episode,
 )
 from .shield import compose, synthesize_bank
@@ -55,19 +54,19 @@ class BenchRow:
     safe: bool
 
 
-RESULT_HEADER = "instance_id,avg_computationAdaptive,avg_computationBaseline,steps,interventions,safe"
+RESULT_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def emit_results(rows, path):
-    """Write the results CSV with the fixed header; refuses an empty run."""
+    """Write the results CSV, one column per `BenchRow` field, each value
+    as its repr; refuses an empty run."""
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to emit")
     with open(path, "w", newline="") as f:
         f.write(RESULT_HEADER + "\n")
         for r in rows:
-            f.write(f"{r.instance_id},{r.avg_computationAdaptive!r},{r.avg_computationBaseline!r},"
-                    f"{r.steps},{r.interventions},{r.safe}\n")
+            f.write(",".join(map(repr, astuple(r))) + "\n")
     return path
 
 
@@ -81,7 +80,7 @@ def preset_config(preset) -> SensingConfig:
     if preset not in GRID_PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(GRID_PRESETS)}")
     eta = GRID_PRESETS[preset]
-    return make_sensing_config(eta=eta, obstacle_margin=DEFAULT_OBSTACLE_MARGIN_CELLS * eta[0])
+    return SensingConfig(eta=eta, obstacle_margin=DEFAULT_OBSTACLE_MARGIN_CELLS * eta[0])
 
 
 def build_runtime(preset, with_bank=True) -> NavRuntime:

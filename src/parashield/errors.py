@@ -22,7 +22,7 @@ class DomainViolation(RuntimeError):
 
 
 class EmptyActiveSet(ValueError):
-    """Shield composition requires at least one active atomic specification."""
+    """Shield composition, and a bank, require at least one atomic specification."""
 
 
 class GenerationFailed(RuntimeError):

@@ -22,6 +22,7 @@ from .abstraction import (
     DubinsParams,
     GridSpec,
     InputGrid,
+    _displacement,
     dubins_step,
     wrap_angle,
 )
@@ -98,54 +99,50 @@ def load_world(path) -> WorldMap:
     return WorldMap(bounds, obstacles, goal, start)
 
 
+# The paper's vehicle and sensing setup: the robot sees the square of
+# half-width VISIBILITY around itself, and steps every TAU seconds under
+# additive disturbances of at most DISTURBANCE per (x, y, heading), with a
+# speed from SPEEDS and a turn rate from TURN_RATES.
+VISIBILITY = 1.0
+TAU = 0.1
+DISTURBANCE = (0.01, 0.01, 0.02)
+SPEEDS = (-0.4, -0.2, 0.0, 0.2, 0.4)
+TURN_RATES = tuple(-4.0 + 0.5 * k for k in range(17))
+
+
 class SensingConfig:
-    """Visibility range, fence thickness, and the robot-frame shield problem.
+    """The robot-frame shield problem of the paper's setup, for a fence
+    thickness `epsilon` and target cell widths `eta`.
 
     The shield's state box is [-d-eps, d+eps]^2 x [-pi, pi) in the robot's
-    translated frame.  The per-step displacement bound v_max*tau + w must stay
-    below eps, otherwise one step could jump across the fence and handover
-    could not be guaranteed; this is checked at construction time.
+    translated frame, with d = VISIBILITY.  `step_bound` is the largest x or
+    y motion of one step, over every heading, input and disturbance
+    (`_displacement` over the whole heading circle).  It must stay below eps,
+    otherwise one step could jump across the fence and handover could not be
+    guaranteed; this is checked at construction time.
     """
 
-    def __init__(self, d, epsilon, grid: GridSpec, inputs: InputGrid,
-                 params: DubinsParams, obstacle_margin=0.0):
+    def __init__(self, epsilon=0.3, eta=(0.10, 0.10, 0.30), obstacle_margin=0.0):
         if epsilon <= 0:
             raise ValueError("fence thickness must be positive")
-        self.d = float(d)
+        self.d = VISIBILITY
         self.epsilon = float(epsilon)
-        self.grid = grid
-        self.inputs = inputs
-        self.params = params
         self.obstacle_margin = float(obstacle_margin)
         ext = self.d + self.epsilon
-        want_lo = np.array([-ext, -ext, -np.pi])
-        want_hi = np.array([ext, ext, np.pi])
-        if not (np.allclose(grid.lower, want_lo) and np.allclose(grid.upper, want_hi)):
-            raise GridMismatch("shield grid must span [-d-eps, d+eps]^2 x [-pi, pi)")
-        v_max = float(np.abs(inputs.points[:, 0]).max())
-        w_xy = float(params.disturbance.radius[:2].max())
-        self.step_bound = v_max * params.tau + w_xy
-        if not self.step_bound < epsilon:
+        self.grid = GridSpec.from_target_eta(
+            [-ext, -ext, -np.pi], [ext, ext, np.pi], eta, periodic=[False, False, True]
+        )
+        self.inputs = InputGrid.from_values(SPEEDS, TURN_RATES)
+        self.params = DubinsParams(tau=TAU, disturbance=DisturbanceBox(DISTURBANCE))
+        lo, hi = _displacement(-np.pi, np.pi, self.inputs.points[:, 0], self.inputs.points[:, 1], self.params)
+        self.step_bound = float(np.maximum(-lo, hi)[:, :2].max())
+        if not self.step_bound < self.epsilon:
             raise ValueError(
                 f"per-step displacement bound {self.step_bound} must stay below the fence thickness {epsilon}"
             )
 
 
-def make_sensing_config(d=1.0, epsilon=0.3, eta=(0.10, 0.10, 0.30), tau=0.1,
-                        w=(0.01, 0.01, 0.02), v_values=None, a_values=None,
-                        obstacle_margin=0.0) -> SensingConfig:
-    """Standard vehicle setup over the visible square plus fences."""
-    ext = d + epsilon
-    grid = GridSpec.from_target_eta(
-        [-ext, -ext, -np.pi], [ext, ext, np.pi], eta, periodic=[False, False, True]
-    )
-    if v_values is None:
-        v_values = [-0.4, -0.2, 0.0, 0.2, 0.4]
-    if a_values is None:
-        a_values = [-4.0 + 0.5 * k for k in range(17)]
-    inputs = InputGrid.from_values(v_values, a_values)
-    params = DubinsParams(tau=tau, disturbance=DisturbanceBox(w))
-    return SensingConfig(d, epsilon, grid, inputs, params, obstacle_margin=obstacle_margin)
+make_sensing_config = SensingConfig    # the name parabench builds its configs by
 
 
 class ColumnLayout:
@@ -174,7 +171,6 @@ class ColumnLayout:
         self.n_ix = self.ix1 - self.ix0 + 1
         self.n_iy = self.iy1 - self.iy0 + 1
         self.n_interior = self.n_ix * self.n_iy
-        self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
 
     def id_of(self, ix, iy):
         return 1 + (ix - self.ix0) * self.n_iy + (iy - self.iy0)

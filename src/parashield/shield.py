@@ -187,15 +187,15 @@ def _translates(atomics: StateSets, t, rows, n):
 def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     """Offline phase: one safety-controller synthesis per atomic safe set.
 
-    `atomics` is a `StateSets` or a plain iterable of `StateSet`s; the sets
-    are stored against the safe set of atomic `base_id` (negative ids count
-    from the end, as in a list), or without one against a sequence's
-    reference set or the full set.  The base is the controller of that
-    reference set, so it is nonblocking.  Every safe set must lie inside it
-    (the encoding raises a ValueError naming the first atomic that leaves it
-    before anything is synthesized), so every run starts from the base's
-    fixed point (shorter descent, same result) and its table is a
-    sub-controller of the base.
+    `atomics` is a nonempty `StateSets` or plain iterable of `StateSet`s (an
+    empty one raises EmptyActiveSet); the sets are stored against the safe
+    set of atomic `base_id` (negative ids count from the end, as in a list),
+    or without one against a sequence's reference set or the full set.  The
+    base is the controller of that reference set, so it is nonblocking.
+    Every safe set must lie inside it (the encoding raises a ValueError
+    naming the first atomic that leaves it before anything is synthesized),
+    so every run starts from the base's fixed point (shorter descent, same
+    result) and its table is a sub-controller of the base.
 
     The atomics are narrowed k at a time, in index order, on one work table
     that stacks k copies of the base (copy j's state x is row j * n + x):
@@ -226,6 +226,9 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     """
     if not isinstance(atomics, StateSets):
         atomics = list(atomics)
+    if not len(atomics):
+        raise EmptyActiveSet("a bank needs at least one atomic safe set")
+    if isinstance(atomics, list):
         atomics = StateSets.encode(atomics, StateSet.full(sys.n_states) if base_id is None else atomics[base_id])
     elif base_id is not None:
         base_id = range(len(atomics))[base_id]

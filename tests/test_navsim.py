@@ -3,8 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from parashield.bench import preset_config
-from parashield.errors import GenerationFailed, GridMismatch
+from parashield.bench import GRID_PRESETS, preset_config
+from parashield.errors import GenerationFailed
 from parashield.navsim import (
     ColumnLayout,
     EpisodeTrace,
@@ -152,13 +152,25 @@ class TestSensingConfig:
         with pytest.raises(ValueError):
             make_sensing_config(epsilon=-0.1)
 
-    def test_grid_box_must_match(self):
-        from parashield.abstraction import DisturbanceBox, DubinsParams, GridSpec, InputGrid
-        grid = GridSpec.from_target_eta([-1, -1, -np.pi], [1, 1, np.pi],
-                                        (0.1, 0.1, 0.3), [False, False, True])
-        with pytest.raises(GridMismatch):
-            SensingConfig(1.0, 0.3, grid, InputGrid.from_values([0.2], [0.0]),
-                          DubinsParams(0.1, DisturbanceBox([0.01, 0.01, 0.02])))
+    @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
+    def test_the_benchmark_call_builds_the_setup(self, preset):
+        # the call the benchmark makes builds the setup of the README's grid
+        # presets: the [-1.3, 1.3]^2 x [-pi, pi) box, 85 inputs, tau = 0.1,
+        # the disturbance radius, and a step bound below the fence thickness
+        cfg = make_sensing_config(eta=GRID_PRESETS[preset], obstacle_margin=0.0)
+        assert make_sensing_config is SensingConfig
+        assert (cfg.d, cfg.epsilon, cfg.obstacle_margin) == (1.0, 0.3, 0.0)
+        assert np.allclose(cfg.grid.lower, [-1.3, -1.3, -np.pi])
+        assert np.allclose(cfg.grid.upper, [1.3, 1.3, np.pi])
+        assert cfg.grid.periodic.tolist() == [False, False, True]
+        assert np.allclose(cfg.grid.eta, GRID_PRESETS[preset], rtol=0.1)
+        assert len(cfg.inputs) == 85
+        assert np.unique(cfg.inputs.points[:, 0]).tolist() == [-0.4, -0.2, 0.0, 0.2, 0.4]
+        assert np.allclose(np.unique(cfg.inputs.points[:, 1]), np.arange(-4.0, 4.25, 0.5))
+        assert cfg.params.tau == 0.1
+        assert cfg.params.disturbance.radius.tolist() == [0.01, 0.01, 0.02]
+        assert cfg.step_bound == pytest.approx(0.4 * 0.1 + 0.01)
+        assert cfg.step_bound < cfg.epsilon
 
 
 class TestSense:
@@ -176,9 +188,9 @@ class TestSense:
         ids = set(snap.active) - {0}
         assert len(ids) == 1
         (aid,) = ids
-        ix, iy = layout.column_of(aid)
-        assert layout.x_lo[ix] == pytest.approx(0.0)
-        assert layout.y_lo[iy] == pytest.approx(0.0)
+        lo, hi = coarse_cfg.grid.cell_interval(layout.column_cells(*layout.column_of(aid))[0])
+        assert lo[:2] == pytest.approx([0.0, 0.0])
+        assert hi[:2] == pytest.approx([0.1, 0.1])
 
     def test_far_obstacle_not_sensed(self, coarse_cfg):
         world = WorldMap((0, 0, 8, 8), [(5.55, 4.0, 5.8, 4.2)], (7, 7, 7.5, 7.5), (4, 4, 0.0))

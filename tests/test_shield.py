@@ -249,28 +249,37 @@ class TestSynthesizeBank:
         assert all(r.levelno == logging.DEBUG and r.atomics == len(atomics) for r in records)
         assert [r.diff_rows for r in records] == [len(rows) for rows, _ in bank_diffs(bank)]
 
-    def test_delta_requires_sub_controllers(self, automaton7):
-        sysm, g, h = automaton7
-        # the other atomic's safe set leaves the base's (the intersection),
-        # so its controller need not be below the base's and is refused
-        with pytest.raises(ValueError, match="atomic 1"):
-            synthesize_bank(sysm, [g & h, g], base_id=0)
-
-    def test_safe_set_outside_the_base_is_refused_before_synthesis(self, rng, monkeypatch):
+    @pytest.fixture
+    def no_synthesis(self, monkeypatch):
         import parashield.shield as shield_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing is synthesized for a refused bank")
+
+        monkeypatch.setattr(shield_mod, "safety_control", refuse)
+        monkeypatch.setattr(shield_mod, "_narrow", refuse)
+
+    def test_safe_set_outside_the_base_is_refused_before_synthesis(self, rng, automaton7, no_synthesis):
         sysm = random_system(rng, max_states=40)
         base = random_state_set(rng, sysm.n_states, density=0.8)
         outside = base.mask.copy()
         outside[np.flatnonzero(~base.mask)[0]] = True
         atomics = [base, base & random_state_set(rng, sysm.n_states), StateSet(outside)]
-
-        def no_synthesis(*args, **kwargs):
-            raise AssertionError("nothing is synthesized for a refused bank")
-
-        monkeypatch.setattr(shield_mod, "safety_control", no_synthesis)
-        monkeypatch.setattr(shield_mod, "_narrow", no_synthesis)
         with pytest.raises(ValueError, match="atomic 2"):
             synthesize_bank(sysm, atomics, base_id=0)
+        # the base is the intersection, and the other atomic's safe set
+        # leaves it
+        sysm, g, h = automaton7
+        with pytest.raises(ValueError, match="atomic 1"):
+            synthesize_bank(sysm, [g & h, g], base_id=0)
+
+    @pytest.mark.parametrize("base_id", [None, 0])
+    def test_empty_bank_is_refused_before_synthesis(self, automaton7, no_synthesis, base_id):
+        sysm = automaton7[0]
+        empty = StateSets.encode([], StateSet.full(sysm.n_states))
+        for atomics in ([], empty):
+            with pytest.raises(EmptyActiveSet, match="at least one atomic"):
+                synthesize_bank(sysm, atomics, base_id=base_id)
 
     def test_negative_and_out_of_range_base_id_as_for_a_list(self, rng):
         # `base_id` counts from the end when negative, for a sequence as for
