@@ -259,7 +259,7 @@ class TestSynthesizeBank:
         monkeypatch.setattr(shield_mod, "safety_control", refuse)
         monkeypatch.setattr(shield_mod, "_narrow", refuse)
 
-    def test_safe_set_outside_the_base_is_refused_before_synthesis(self, rng, automaton7, no_synthesis):
+    def test_safe_set_outside_the_base_is_refused_before_synthesis(self, rng, no_synthesis):
         sysm = random_system(rng, max_states=40)
         base = random_state_set(rng, sysm.n_states, density=0.8)
         outside = base.mask.copy()
@@ -267,9 +267,12 @@ class TestSynthesizeBank:
         atomics = [base, base & random_state_set(rng, sysm.n_states), StateSet(outside)]
         with pytest.raises(ValueError, match="atomic 2"):
             synthesize_bank(sysm, atomics, base_id=0)
-        # the base is the intersection, and the other atomic's safe set
-        # leaves it
+
+    def test_delta_requires_sub_controllers(self, automaton7, no_synthesis):
         sysm, g, h = automaton7
+        # the other atomic's safe set leaves the base's (the intersection),
+        # so its controller need not be below the base's; it is refused
+        # before anything is synthesized
         with pytest.raises(ValueError, match="atomic 1"):
             synthesize_bank(sysm, [g & h, g], base_id=0)
 
