@@ -11,7 +11,6 @@ from .abstraction import (
     build_abstraction,
     cos_bounds,
     dubins_step,
-    reach_overapprox,
     sin_bounds,
     wrap_angle,
 )
@@ -41,7 +40,6 @@ from .synthesis import (
     StateSet,
     StateSets,
     controller_equal,
-    cpre,
     is_sub_controller,
     largest_nonblocking,
     product,

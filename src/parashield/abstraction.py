@@ -5,12 +5,12 @@ dimension, and `GridSpec.quantize_many` is the one map from float points to
 cells (`quantize` is its one-point case).  A one-step reachable set is
 over-approximated per (cell, input) pair by interval arithmetic on the
 vehicle dynamics: the cell plus the bounds of one step's displacement, which
-`_displacement` alone computes, for `build_abstraction` and
-`reach_overapprox` alike.  The abstract transition relation maps each pair to
-the set of cells that intersect the image box, with a distinguished OUT flag
-when the image leaves the box in a non-periodic dimension.  Each abstraction
-holds its OUT relation once, as the packed table `stays`: bit u of row x is
-set when (x, u) is not OUT, which is the universe controller's masks.
+`_displacement` alone computes.  The abstract transition relation maps each
+pair to the set of cells that intersect the image box, with a distinguished
+OUT flag when the image leaves the box in a non-periodic dimension.  Each
+abstraction holds its OUT relation once, as the packed table `stays`: bit u
+of row x is set when (x, u) is not OUT, which is the universe controller's
+masks.
 
 The synthesis fixed points ask one bulk question of a state set, `pair_hits`:
 which pairs have a successor in it.  (All successors of a pair lie in S
@@ -284,8 +284,7 @@ def _displacement(th_lo, th_hi, v, a, params: DubinsParams):
 
     Broadcasts over the leading axes of its arguments; (x, y, heading) is the
     new last axis.  This is the one place the vehicle's interval image is
-    computed: `build_abstraction` quantizes it per (heading row, input) and
-    `reach_overapprox` adds it to a box.
+    computed: `build_abstraction` quantizes it per (heading row, input).
     """
     t = params.tau
     w = params.disturbance.radius
@@ -297,20 +296,6 @@ def _displacement(th_lo, th_hi, v, a, params: DubinsParams):
     lo.append(a * t - w[2])
     hi.append(a * t + w[2])
     return np.stack(np.broadcast_arrays(*lo), axis=-1), np.stack(np.broadcast_arrays(*hi), axis=-1)
-
-
-def reach_overapprox(cell_box, u, params: DubinsParams):
-    """Interval image of a state box under one vehicle step, all disturbances.
-
-    `cell_box` is a (lo, hi) pair of length-3 vectors.  The returned (lo, hi)
-    box is that box plus the step's displacement bounds, so it contains every
-    dubins_step(x, u, w) with x in the box and w in the disturbance box.  The
-    heading interval of the result is not wrapped.
-    """
-    lo = np.asarray(cell_box[0], dtype=np.float64)
-    hi = np.asarray(cell_box[1], dtype=np.float64)
-    d_lo, d_hi = _displacement(lo[2], hi[2], float(u[0]), float(u[1]), params)
-    return lo + d_lo, hi + d_hi
 
 
 def _check_masks(n_states, removed, within):
@@ -543,6 +528,34 @@ class BoxedAbstraction:
             hits &= _pack_bool(row_alive(rows))
         return rows, hits
 
+    # -- translation invariance ---------------------------------------------
+
+    def face_distance(self, states):
+        """The fewest x-y cells between each of `states` and a face of the grid."""
+        nx, ny, nt = self.grid.shape
+        x, y = np.divmod(np.asarray(states) // nt, ny)
+        return np.minimum(np.minimum(x, nx - 1 - x), np.minimum(y, ny - 1 - y))
+
+    def moves_alike(self, rows, src, dst):
+        """Per state of `dst`, whether the abstraction around the states
+        `rows` is the same once they move as state `src` moves to it.  That
+        holds when the move keeps the heading (it shifts whole x-y columns)
+        and the rows' reach dilation lies on the grid before and after it:
+        then no predecessor falls off an x-y face, and the pairs there are
+        OUT alike (a radius clipped to the grid passes only on an axis of
+        one cell, which no move leaves).  The move is read from the
+        multi-indices, since a flat shift with a negative y part reads as
+        another x-y move."""
+        shape = np.asarray(self.grid.shape)[:2, None]
+        r = self.reach_radius[:2, None]
+        xy = np.stack(np.divmod(np.asarray(rows) // self.grid.shape[2], self.grid.shape[1]))
+        lo, hi = xy.min(axis=1, keepdims=True) - r, xy.max(axis=1, keepdims=True) + r
+        a = np.unravel_index(src, self.grid.shape)
+        b = np.unravel_index(np.asarray(dst), self.grid.shape)
+        move = np.stack(b[:2]) - np.asarray(a[:2])[:, None]
+        on = (lo >= 0) & (hi < shape) & (lo + move >= 0) & (hi + move < shape)
+        return (b[2] == a[2]) & on.all(axis=0)
+
     # -- per-pair queries --------------------------------------------------
 
     def post(self, cell, u):
@@ -630,6 +643,14 @@ class ExplicitAbstraction:
             hits &= row_alive(rows)
         return rows, _pack_bool(hits)
 
+    def face_distance(self, states):
+        """No grid: every state counts as on a face."""
+        return np.zeros(np.shape(states), dtype=np.int64)
+
+    def moves_alike(self, rows, src, dst):
+        """No state is known to see what another sees: never alike."""
+        return np.zeros(np.shape(dst), dtype=bool)
+
     def post(self, cell, u):
         i = cell * self.n_inputs + u
         return self.succ[self.indptr[i]:self.indptr[i + 1]].copy(), not _has_bit(self.stays, cell, u)
@@ -638,8 +659,8 @@ class ExplicitAbstraction:
 def build_abstraction(grid: GridSpec, inputs: InputGrid, params: DubinsParams) -> BoxedAbstraction:
     """Abstract the vehicle over a 3-d grid (x, y periodic-free, heading periodic).
 
-    The interval image of a cell (`reach_overapprox`) is the cell moved by a
-    displacement whose bounds depend only on its heading row and the input.
+    The interval image of a cell is the cell moved by a displacement whose
+    bounds depend only on its heading row and the input.
     `_displacement` gives them for every (heading row, input) pair at once,
     and the index shifts are floor(lo / eta) and ceil(hi / eta), which keeps
     the zero-motion case exact: a cell maps to itself alone.

@@ -177,30 +177,6 @@ def brute_force_safety_controller(sys, safe: StateSet):
     return survivors, allowed
 
 
-def brute_force_nonblocking(sys, domain, allowed):
-    """Independent reference for deadlock removal: iteratively delete blocking
-    states and inputs that dangle outside the shrinking domain."""
-    dom = set(domain)
-    allow = {x: list(us) for x, us in allowed.items() if x in dom}
-    while True:
-        changed = False
-        for x in list(dom):
-            us = []
-            for u in allow.get(x, []):
-                succ, is_out = sys.post(x, u)
-                if not is_out and all(int(s) in dom for s in succ):
-                    us.append(u)
-            if us:
-                allow[x] = us
-            else:
-                dom.discard(x)
-                allow.pop(x, None)
-                changed = True
-        if not changed:
-            break
-    return dom, allow
-
-
 def table_matches_brute(table: ControllerTable, dom, allow) -> bool:
     if set(int(i) for i in np.nonzero(table.defined)[0]) != set(dom):
         return False

@@ -45,8 +45,10 @@ def cmd_synth_bank(args):
     save_bank(bank, path)
     print(f"Abstraction: {rt.abstraction_seconds:.2f} s")
     print(f"Synthesis: {rt.bank_seconds:.2f} s ({bank.n_atomics} atomic controllers) -> {path}")
+    derived = np.count_nonzero(bank.derived)
     print(f"Bank: {os.path.getsize(path)} bytes, {np.count_nonzero(bank.on_template)} of {bank.n_atomics} "
-          f"atomics on the template, {bank.idx.size} exception rows")
+          f"atomics on the template, {bank.idx.size} exception rows, {derived} derived and "
+          f"{bank.n_atomics - derived} narrowed")
     return 0
 
 

@@ -38,6 +38,7 @@ from .synthesis import (
     _rows,
     controller_equal,
     safety_control,
+    universe_controller,
 )
 
 logger = logging.getLogger(__name__)
@@ -94,7 +95,9 @@ class AtomicShieldBank:
     nonblocking on their domains, so a row is in the domain exactly when its
     mask is not empty; the states of the exception rows that leave it are
     `undefined[uptr[i]:uptr[i + 1]]`, and those of the template rows that
-    leave it, unmoved, are `tpl_undefined`.
+    leave it, unmoved, are `tpl_undefined`.  `derived` marks the atomics
+    whose tables `synthesize_bank` derived instead of narrowing them (none,
+    for a loaded bank).
     """
 
     def __init__(self, sys, safes: StateSets, base, tpl_rows, tpl_masks, group, shift, ptr, idx, masks):
@@ -108,6 +111,7 @@ class AtomicShieldBank:
         self.ptr = ptr
         self.idx = idx
         self.masks = masks
+        self.derived = np.zeros(self.n_atomics, dtype=bool)
         # searching the empty rows' positions for the offsets makes no
         # full-length int64 temporary
         at = np.flatnonzero(_empty_rows(masks))
@@ -185,7 +189,8 @@ def _translates(atomics: StateSets, t, rows, n):
 
 
 def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
-    """Offline phase: one safety-controller synthesis per atomic safe set.
+    """Offline phase: one maximally permissive safety controller per atomic
+    safe set.
 
     `atomics` is a nonempty `StateSets` or plain iterable of `StateSet`s (an
     empty one raises EmptyActiveSet); the sets are stored against the safe
@@ -194,21 +199,26 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     base is the controller of that reference set, so it is nonblocking.
     Every safe set must lie inside it (the encoding raises a ValueError
     naming the first atomic that leaves it before anything is synthesized),
-    so every run starts from the base's fixed point (shorter descent, same
-    result) and its table is a sub-controller of the base.
+    so every table is a sub-controller of the base.
 
-    The atomics are narrowed k at a time, in index order, on one work table
-    that stacks k copies of the base (copy j's state x is row j * n + x):
-    k is as many as fit `_STACK_BYTES`, at least one.  Each copy's unsafe
-    states leave its domain, and one `_narrow` run narrows every copy as if
-    it were alone, recording the rows it writes.  The rows among those whose
-    masks differ from the base's are the copies' diffs, and copying them
-    back from the base restores the work table.  A run costs in proportion
-    to the rows it touches, not to the grid, and only the base and the work
-    table are alive; stacking shares the fixed cost of each `pair_hits`
-    call among k small atomics.  Progress goes to this module's logger: one
-    DEBUG record per atomic, in index order, whose `atomic`, `atomics` and
-    `diff_rows` attributes give its index, the total and its diff size.
+    Translates of one atomic are derived first, without a narrowing of
+    their own (`_derive`): where the abstraction is the same around two
+    places, the product of the base and the moved controller of "avoid the
+    other's states" is the table whenever it has no blocking state.  The
+    other atomics are narrowed k at a time, in index order, on one work
+    table that stacks k copies of the base (copy j's state x is row j * n +
+    x): k is as many as fit `_STACK_BYTES`, at least one.  Each copy's
+    unsafe states leave its domain, and one `_narrow` run narrows every copy
+    as if it were alone, from the base's fixed point (shorter descent, same
+    result), recording the rows it writes.  The rows among those whose masks
+    differ from the base's are the copies' diffs, and copying them back from
+    the base restores the work table.  A run costs in proportion to the rows
+    it touches, not to the grid, and only the base and the work table are
+    alive; stacking shares the fixed cost of each `pair_hits` call among k
+    small atomics.  Progress goes to this module's logger: one DEBUG record
+    per atomic, in index order, whose `atomic`, `atomics`, `diff_rows` and
+    `derived` attributes give its index, the total, its diff size and
+    whether it was derived.  The bank's `derived` says the same per atomic.
 
     Once every diff is known, they are rewritten against one template, many
     atomics at a time (`_against_template`).  The template is the diff of
@@ -221,8 +231,8 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
     moved rows in the base's domain that the AND leaves empty but the
     template does not (there its table is undefined).  Every other atomic's
     exceptions are its diff, and a template with fewer than two users is
-    dropped.  The tables themselves are computed as before, so they do not
-    depend on the template.
+    dropped.  The tables themselves do not depend on the template, nor on
+    which atomics were derived.
     """
     if not isinstance(atomics, StateSets):
         atomics = list(atomics)
@@ -238,23 +248,33 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
             atomics = StateSets.encode(atomics, atomics[base_id])
     base = safety_control(sys, SafetySpec(StateSet(atomics.ref)))
     n, words = base.masks.shape
-    k = max(1, min(len(atomics), _STACK_BYTES // (n * (8 * words + 1))))
+    diffs = [None] * len(atomics)
+    derived = _derive(sys, base, atomics, diffs)
+    todo = np.flatnonzero(~derived)
+    k = max(1, min(todo.size, _STACK_BYTES // (n * (8 * words + 1))))
     work = base.tile(k)
     base_rows, work_rows = _rows(base.masks), _rows(work.masks)
+    reported = 0
 
-    def stack_diffs(first, stop):
-        # copy j loses atomic first + j's lacked states in the base's domain,
+    def report(stop):
+        # one record per atomic, in index order, up to `stop`
+        nonlocal reported
+        for i in range(reported, stop):
+            logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), len(diffs[i][0]),
+                         extra={"atomic": i, "atomics": len(atomics), "diff_rows": len(diffs[i][0]),
+                                "derived": bool(derived[i])})
+        reported = stop
+
+    def narrow_stack(ids):
+        # copy j loses atomic ids[j]'s lacked states in the base's domain,
         # ascending because each atomic's are; the copies of a short last
         # stack past its atomics lose nothing and stay as they are
-        lacks = atomics.idx[atomics.ptr[first]:atomics.ptr[stop]]
-        at = np.repeat(np.arange(stop - first) * n, np.diff(atomics.ptr[first:stop + 1]))
+        lacks = [atomics.idx[atomics.ptr[i]:atomics.ptr[i + 1]] for i in ids.tolist()]
+        at = np.repeat(np.arange(ids.size) * n, [a.size for a in lacks])
+        lacks = np.concatenate(lacks)
         touched = []
         _narrow(sys, work, (lacks + at)[base.defined[lacks]], touched=touched)
-        # several sweeps can write one row; the diff lists it once, ascending
-        rows = np.sort(np.concatenate(touched))
-        first_of = np.ones(rows.size, dtype=bool)
-        first_of[1:] = rows[1:] != rows[:-1]
-        rows = rows[first_of]
+        rows = _written(touched)
         states = rows % n
         now, was = work_rows[rows], base_rows[states]
         # both tables are nonblocking, so a row's mask also gives its domain bit
@@ -263,26 +283,98 @@ def synthesize_bank(sys, atomics, base_id=None) -> AtomicShieldBank:
         work_rows[rows], work.defined[rows] = was, base.defined[states]
         now = now.view(np.uint64).reshape(len(rows), words)
         wider = now & ~was.view(np.uint64).reshape(len(rows), words)
-        bad = first + rows[np.flatnonzero(wider.any(axis=1))[0]] // n if wider.any() else stop
-        cut = np.searchsorted(rows, np.arange(stop - first + 1) * n).tolist()
-        diffs = []
-        for j, i in enumerate(range(first, stop)):
+        bad = ids[rows[np.flatnonzero(wider.any(axis=1))[0]] // n] if wider.any() else -1
+        cut = np.searchsorted(rows, np.arange(ids.size + 1) * n).tolist()
+        for j, i in enumerate(ids.tolist()):
             if i == bad:
+                report(i)
                 raise ValueError(f"atomic {i} is not a sub-controller of the base; delta storage is invalid")
-            a, b = cut[j], cut[j + 1]
-            logger.debug("atomic %d of %d: %d diff rows", i, len(atomics), b - a,
-                         extra={"atomic": i, "atomics": len(atomics), "diff_rows": b - a})
-            diffs.append((states[a:b], now[a:b]))
-        return diffs
+            diffs[i] = (states[cut[j]:cut[j + 1]], now[cut[j]:cut[j + 1]])
+            report(i + 1)
 
-    diffs = []
-    for first in range(0, len(atomics), k):
-        diffs += stack_diffs(first, min(first + k, len(atomics)))
+    for a in range(0, todo.size, k):
+        narrow_stack(todo[a:a + k])
+    report(len(atomics))
     del work
     ptr = np.cumsum([0] + [len(rows) for rows, _ in diffs], dtype=np.int64)
     idx, masks = (np.concatenate(parts) for parts in zip(*diffs))
     del diffs
-    return AtomicShieldBank(sys, atomics, base, *_against_template(base, atomics, ptr, idx, masks))
+    bank = AtomicShieldBank(sys, atomics, base, *_against_template(base, atomics, ptr, idx, masks))
+    bank.derived[:] = derived
+    return bank
+
+
+def _written(touched):
+    """The rows `_narrow` reported writing, ascending, each once: several
+    sweeps can write one row."""
+    rows = np.sort(np.concatenate(touched))
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return rows[first]
+
+
+def _derive(sys, base, atomics: StateSets, diffs):
+    """Per atomic, whether its table was derived from one narrowing of
+    another atomic's states; fills in `diffs[i]`, as (rows, masks), for the
+    derived ones.
+
+    The maximal controller of an intersection of safe sets is the largest
+    nonblocking sub-controller of the product of their maximal controllers,
+    so a product with no blocking state is already the table.  Atomic t, of
+    the most common nonzero lacked-set size, with its lacked states
+    farthest from the grid's x-y faces, gives D_t: the universe controller
+    narrowed from t's lacked states alone ("avoid them", without the base's
+    fence), which differs from the universe only on the rows R that the run
+    writes.  An atomic j whose lacked states are t's moved by a flat shift
+    s (`_translates`), where the abstraction around R moves alike
+    (`sys.moves_alike`), has D_j equal to D_t moved by s, so its product
+    with the base differs from the base only on R + s.  Where none of those
+    rows is defined in both and empty, the product is closed and
+    nonblocking, so it is atomic j's table, and its diff is the rows of R +
+    s where it differs from the base.  The products are formed
+    `_REWRITE_ATOMICS` atomics at a time."""
+    derived = np.zeros(len(atomics), dtype=bool)
+    sizes = np.diff(atomics.ptr)
+    values, counts = np.unique(sizes[sizes > 0], return_counts=True)
+    if not values.size:
+        return derived
+    size = values[np.argmax(counts)]
+    common = np.flatnonzero(sizes == size)
+    far = sys.face_distance(atomics.idx[atomics.ptr[common, None] + np.arange(size)]).min(axis=1)
+    t = int(common[np.argmax(far)])
+    lacks = atomics.idx[atomics.ptr[t]:atomics.ptr[t + 1]]
+    shift = _translates(atomics, t, lacks, base.n_states)
+    users = np.flatnonzero(shift != NO_SHIFT)
+    # R holds t's lacked states: users whose move fails for them fail for R
+    users = users[sys.moves_alike(lacks, lacks[0], lacks[0] + shift[users])]
+    if not users.size:
+        return derived
+    d_t = universe_controller(sys)
+    touched = []
+    _narrow(sys, d_t, lacks, touched=touched)
+    rows = _written(touched)
+    users = users[sys.moves_alike(rows, lacks[0], lacks[0] + shift[users])]
+    m, words = rows.size, base.words
+    base_rows, avoid, kept = _rows(base.masks), d_t.masks[rows], d_t.defined[rows]
+    for a in range(0, users.size, _REWRITE_ATOMICS):
+        ids = users[a:a + _REWRITE_ATOMICS]
+        moved = (rows + shift[ids, None]).reshape(-1)
+        was = base_rows[moved].view(np.uint64).reshape(ids.size, m, words)
+        now = (was & avoid).reshape(-1, words)
+        was = was.reshape(-1, words)
+        # the product blocks where the base and D_t are defined and their AND is empty
+        blocks = (_empty_rows(now) & ~_empty_rows(was)).reshape(ids.size, m) & kept
+        ok = ~blocks.any(axis=1)
+        # the diffs of the derived atomics, concatenated in order
+        changed = (_rows(now) != _rows(was)).reshape(ids.size, m) & ok[:, None]
+        cut = np.cumsum(np.concatenate([[0], changed.sum(axis=1)])).tolist()
+        at = np.flatnonzero(changed)
+        moved, now = moved[at], _rows(now)[at].view(np.uint64).reshape(-1, words)
+        for j, i in enumerate(ids.tolist()):
+            if ok[j]:
+                diffs[i] = (moved[cut[j]:cut[j + 1]], now[cut[j]:cut[j + 1]])
+        derived[ids[ok]] = True
+    return derived
 
 
 def _against_template(base, atomics: StateSets, ptr, idx, masks):

@@ -254,15 +254,6 @@ def _check_universe(sys, s: StateSet):
         raise UniverseMismatch(f"set over {s.n} states, system has {sys.n_states}")
 
 
-def cpre(sys, s: StateSet) -> StateSet:
-    """Controllable predecessor: states with an input forcing all successors into s."""
-    _check_universe(sys, s)
-    rows, hits = sys.pair_hits(~s.mask)
-    ok = sys.stays.copy()
-    ok[rows] &= ~hits
-    return StateSet(ok.any(axis=1))
-
-
 def universe_controller(sys) -> ControllerTable:
     """Every state defined, every input allowed that does not leave the grid:
     the abstraction's `stays`.  Each call returns a fresh table, because

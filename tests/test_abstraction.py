@@ -16,12 +16,12 @@ from parashield.abstraction import (
     build_abstraction,
     cos_bounds,
     dubins_step,
-    reach_overapprox,
     sin_bounds,
     wrap_angle,
 )
 from parashield.errors import GridMismatch, PointOutOfDomain, UniverseMismatch
 from parashield.synthesis import SafetySpec, _pack_bool, _unpack_bool, safety_control
+from reference import reach_overapprox
 
 
 def small_params(w=(0.01, 0.01, 0.02), tau=0.1):
@@ -787,6 +787,51 @@ class TestPackedHits:
         post = {(x, u): rng.integers(0, n, size=2).tolist() for x in range(n) for u in range(m)}
         sysm = ExplicitAbstraction.from_map(n, m, post)
         self._check(sysm, rng.random(n) < 0.2, rng)
+
+
+class TestTranslationInvariance:
+    """`face_distance` and `moves_alike` against their definitions, state by
+    state: a move is alike exactly when it keeps the heading and the rows'
+    reach dilation lies on the grid at both ends, the move read from
+    multi-indices."""
+
+    @pytest.fixture(scope="class")
+    def boxed(self):
+        return build_abstraction(small_grid(10, 6), small_inputs(), small_params(w=(0.08, 0.02, 0.02)))
+
+    def test_face_distance(self, boxed):
+        nx, ny, _ = boxed.grid.shape
+        want = [min(x, nx - 1 - x, y, ny - 1 - y) for x, y, _ in map(boxed.grid.multi, range(boxed.n_states))]
+        assert boxed.face_distance(np.arange(boxed.n_states)).tolist() == want
+
+    @pytest.mark.parametrize("corner", [(0, 2), (2, 3), (6, 7), (8, 1)])
+    def test_moves_alike(self, boxed, corner):
+        nx, ny, nt = boxed.grid.shape
+        rx, ry, _ = boxed.reach_radius.tolist()
+        assert (rx, ry) == (2, 1)
+        # the whole columns of an L of three x-y cells, and one more state
+        cx, cy = corner
+        cells = [(cx, cy), (cx + 1, cy), (cx, cy + 1)]
+        rows = np.unique([boxed.grid.flat((x, y, t)) for x, y in cells for t in range(nt)]
+                         + [boxed.grid.flat((cx + 1, cy + 1, 2))])
+        src = boxed.grid.flat((cx, cy, 1))
+        moves = [(dx, dy, dt) for dx in range(-nx, nx) for dy in range(-ny, ny) for dt in (0, 1)
+                 if 0 <= cx + dx < nx and 0 <= cy + dy < ny]
+        dst = np.array([boxed.grid.flat((cx + dx, cy + dy, 1 + dt)) for dx, dy, dt in moves])
+
+        def on_grid(dx, dy):
+            xs, ys = [x + dx for x, _ in cells] + [cx + 1 + dx], [y + dy for _, y in cells] + [cy + 1 + dy]
+            return min(xs) - rx >= 0 and max(xs) + rx < nx and min(ys) - ry >= 0 and max(ys) + ry < ny
+
+        want = [dt == 0 and on_grid(0, 0) and on_grid(dx, dy) for dx, dy, dt in moves]
+        assert boxed.moves_alike(rows, src, dst).tolist() == want
+        # a flat shift reads a move with a negative y part as another move
+        assert any(w and dy < 0 for w, (_, dy, _) in zip(want, moves)) == on_grid(0, 0)
+
+    def test_explicit_never_alike(self, automaton7):
+        sysm = automaton7[0]
+        assert sysm.face_distance(np.arange(7)).tolist() == [0] * 7
+        assert not sysm.moves_alike(np.array([1, 2]), 1, np.arange(7)).any()
 
 
 class TestMaskLengths:

@@ -29,11 +29,11 @@ from parashield.synthesis import (
     StateSet,
     closure_holds,
     controller_equal,
-    cpre,
     largest_nonblocking,
     product,
     safety_control,
 )
+from reference import cpre
 
 pytestmark = pytest.mark.acceptance
 

@@ -207,5 +207,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Abstraction:" in out and "Synthesis:" in out
         (path,) = tmp_path.glob("bank_coarse.pshb")
-        # every column atomic uses the template
-        assert f"\nBank: {path.stat().st_size} bytes, 400 of 401 atomics on the template, 73872 exception rows\n" in out
+        # every column atomic uses the template; the 200 with no exception
+        # row are derived, and the fence and the other columns narrowed
+        assert (f"\nBank: {path.stat().st_size} bytes, 400 of 401 atomics on the template, 73872 exception rows, "
+                "200 derived and 201 narrowed\n") in out

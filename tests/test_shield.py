@@ -3,9 +3,11 @@ import logging
 import numpy as np
 import pytest
 
-from parashield.abstraction import ExplicitAbstraction, InputGrid
+from parashield.abstraction import ExplicitAbstraction, GridSpec, InputGrid, build_abstraction
 from parashield.bench import (
+    GRID_PRESETS,
     brute_force_safety_controller,
+    preset_config,
     random_state_set,
     random_system,
     table_matches_brute,
@@ -214,6 +216,8 @@ class TestSynthesizeBank:
             sysm = line_system(rng, n, 5, 6)
             atomics = [StateSet.full(n)] + [StateSet(np.arange(n) // 2 != k) for k in range(n // 2)]
             bank = synthesize_bank(sysm, atomics)
+            # an explicit system is never known to move alike
+            assert not bank.derived.any()
             (t,) = np.flatnonzero(bank.shift == 0)
             assert bank.group == 2 and bank.tpl_rows.size and bank.on_template.sum() >= 2
             assert bank.ptr[t + 1] == bank.ptr[t]
@@ -248,6 +252,7 @@ class TestSynthesizeBank:
         assert [r.atomic for r in records] == list(range(len(atomics)))
         assert all(r.levelno == logging.DEBUG and r.atomics == len(atomics) for r in records)
         assert [r.diff_rows for r in records] == [len(rows) for rows, _ in bank_diffs(bank)]
+        assert [r.derived for r in records] == [False] * len(atomics) == bank.derived.tolist()
 
     @pytest.fixture
     def no_synthesis(self, monkeypatch):
@@ -318,9 +323,9 @@ def stack_bytes(sysm, k):
 def stacked_synthesis(monkeypatch, caplog, sysm, atomics, k, narrow=None):
     """Bank synthesis with base_id 0 narrowing k atomics at once (None: as
     many as `_STACK_BYTES` gives), as (bank, DEBUG records as (atomic,
-    atomics, diff_rows), the row count of every `_narrow` run's table); a
-    ValueError it raises stands in for the bank.  `narrow` replaces
-    `_narrow` in the module."""
+    atomics, diff_rows, derived), the row count of every `_narrow` run's
+    table); a ValueError it raises stands in for the bank.  `narrow`
+    replaces `_narrow` in the module."""
     import parashield.shield as shield_mod
     with monkeypatch.context() as patch:
         if k is not None:
@@ -338,38 +343,50 @@ def stacked_synthesis(monkeypatch, caplog, sysm, atomics, k, narrow=None):
                 bank = synthesize_bank(sysm, atomics, base_id=0)
             except ValueError as err:
                 bank = err
-    records = [(r.atomic, r.atomics, r.diff_rows) for r in caplog.records if r.name == "parashield.shield"]
+    records = [(r.atomic, r.atomics, r.diff_rows, r.derived) for r in caplog.records if r.name == "parashield.shield"]
     return bank, records, runs
 
 
 class TestStackedBankSynthesis:
     """Narrowing several atomics at once on one stacked work table gives
     the bank, the progress records and the errors of narrowing them one at
-    a time, whatever the stack size and however short the last stack."""
+    a time, whatever the stack size and however short the last stack.  The
+    records cover the derived atomics too, in index order."""
 
     @staticmethod
-    def _check_sizes(sysm, atomics, monkeypatch, caplog, default_k):
+    def _check_sizes(sysm, atomics, monkeypatch, caplog, default_k, template_run):
         n = sysm.n_states
         one, records, runs = stacked_synthesis(monkeypatch, caplog, sysm, atomics, 1)
-        assert runs == [n] * 7
+        narrowed = sum(not r[3] for r in records)
+        # on a boxed abstraction one run narrows the universe from the
+        # template atomic's states first; the others narrow atomics
+        lead = [n] if template_run else []
+        assert runs == lead + [n] * narrowed
         assert [r[0] for r in records] == list(range(7)) and all(r[1] == 7 for r in records)
         assert [r[2] for r in records] == [len(rows) for rows, _ in bank_diffs(one)]
-        # seven atomics leave the last stack of two or three short; it runs
-        # on the whole work table
+        assert [r[3] for r in records] == one.derived.tolist()
+        # the narrowed atomics leave the last stack of two or three short;
+        # it runs on the whole work table
         for k, patched in ((2, 2), (3, 3), (default_k, None)):
             bank, got, runs = stacked_synthesis(monkeypatch, caplog, sysm, atomics, patched)
-            assert runs == [k * n] * -(-7 // k)
+            assert runs == lead + [k * n] * -(-narrowed // k)
             assert got == records
             assert controller_equal(bank.base, one.base)
             for x, y in zip(stored(bank), stored(one)):
                 assert np.array_equal(x, y)
+        return records
 
     def test_coarse_bank_does_not_depend_on_stack_size(self, coarse_rt, rng, monkeypatch, caplog):
-        # the coarse preset stacks four atomics of its own accord
-        safes = coarse_rt.bank.safes
-        ids = [0] + sorted(int(i) for i in rng.choice(np.arange(1, len(safes)), size=6, replace=False))
-        atomics = [safes[i] for i in ids]
-        self._check_sizes(coarse_rt.sys, atomics, monkeypatch, caplog, 4)
+        # two atomics that the whole coarse bank derives and four that it
+        # narrows: these four and the fence are narrowed four at a time, as
+        # the coarse preset stacks them of its own accord
+        bank = coarse_rt.bank
+        derived, narrowed = np.flatnonzero(bank.derived), np.flatnonzero(~bank.derived)[1:]
+        ids = [0] + sorted(int(i) for i in np.concatenate([rng.choice(derived, size=2, replace=False),
+                                                          rng.choice(narrowed, size=4, replace=False)]))
+        atomics = [bank.safes[i] for i in ids]
+        records = self._check_sizes(coarse_rt.sys, atomics, monkeypatch, caplog, 4, True)
+        assert [r[3] for r in records] == bank.derived[ids].tolist()
         bank, _, _ = stacked_synthesis(monkeypatch, caplog, coarse_rt.sys, atomics, 3)
         for k, i in enumerate(ids):
             assert controller_equal(bank.table(k), coarse_rt.bank.table(i))
@@ -382,7 +399,7 @@ class TestStackedBankSynthesis:
             n = sysm.n_states
             base = random_state_set(rng, n, density=0.95)
             atomics = [base, StateSet.empty(n)] + [base & random_state_set(rng, n) for _ in range(5)]
-            self._check_sizes(sysm, atomics, monkeypatch, caplog, 7)
+            self._check_sizes(sysm, atomics, monkeypatch, caplog, 7, False)
             bank, records, _ = stacked_synthesis(monkeypatch, caplog, sysm, atomics, 3)
             diff_rows += sum(r[2] for r in records)
             for i, s in enumerate(atomics):
@@ -421,6 +438,101 @@ class TestStackedBankSynthesis:
                                                 narrow=lambda *a, **kw: widening(*a, **kw, done=done))
             assert isinstance(err, ValueError) and f"atomic {bad} is not a sub-controller" in str(err)
             assert [r[0] for r in records] == list(range(bad))
+
+    def test_non_sub_controller_named_after_derived_atomics(self, coarse_rt, monkeypatch, caplog):
+        # atomics 1 and 2 are derived; atomic 3, narrowed second, is left an
+        # input the base lacks, and the records before the error cover the
+        # derived atomics too
+        bank, sysm = coarse_rt.bank, coarse_rt.sys
+        n = sysm.n_states
+        ids = np.concatenate([[0], np.flatnonzero(bank.derived)[:2], np.flatnonzero(~bank.derived)[1:3]])
+        atomics = [bank.safes[int(i)] for i in ids]
+        lacking = ~_unpack_bool(bank.base.masks, sysm.n_inputs) & bank.base.defined[:, None]
+        x, u = (int(v) for v in np.argwhere(lacking)[0])
+
+        def widening(sys, table, removed, touched, done):
+            universe = table.defined.all()    # the run that the derived atomics come from
+            _narrow(sys, table, removed, touched=touched)
+            copies = table.n_states // n
+            if not universe and done[0] <= 1 < done[0] + copies:
+                row = (1 - done[0]) * n + x
+                table.masks[row, u // 64] |= np.uint64(1) << np.uint64(u % 64)
+                touched.append(np.array([row]))
+            done[0] += 0 if universe else copies
+            return table
+
+        for k in (1, 2, 3):
+            done = [0]
+            err, records, runs = stacked_synthesis(monkeypatch, caplog, sysm, atomics, k,
+                                                   narrow=lambda *a, **kw: widening(*a, **kw, done=done))
+            assert isinstance(err, ValueError) and "atomic 3 is not a sub-controller" in str(err)
+            assert [(r[0], r[3]) for r in records] == [(0, False), (1, True), (2, True)]
+            assert runs[0] == n
+
+
+class TestDerivedTranslates:
+    """Atomics derived from the product of the base and a moved controller
+    equal cold synthesis.  A translate is narrowed instead when the
+    abstraction does not move alike around the template's rows (at the
+    grid's faces) or when its product has a blocking state."""
+
+    @pytest.fixture(scope="class")
+    def sysm(self):
+        # the coarse preset's vehicle on a 12 x 12 x 21 grid
+        cfg = preset_config("coarse")
+        grid = GridSpec.from_target_eta([-0.6, -0.6, -np.pi], [0.6, 0.6, np.pi], GRID_PRESETS["coarse"],
+                                        periodic=[False, False, True])
+        return build_abstraction(grid, cfg.inputs, cfg.params)
+
+    @staticmethod
+    def _synthesize(sysm, ref, monkeypatch):
+        """The bank of the set `ref`, as atomic 0 and the base, and one
+        atomic per x-y column inside it, lacking that column.  Returns its
+        derived atomics, the atomics whose move the last `moves_alike` call
+        accepted, and each atomic's x-y column (none for atomic 0)."""
+        nx, ny, nt = sysm.grid.shape
+        cols = np.arange(sysm.n_states).reshape(nx * ny, nt)
+        inside = np.flatnonzero(ref[cols].all(axis=1))
+        atomics = [StateSet(ref)]
+        for c in inside:
+            safe = ref.copy()
+            safe[cols[c]] = False
+            atomics.append(StateSet(safe))
+        last = {}
+        alike = sysm.moves_alike
+
+        def recorded(rows, src, dst):
+            ok = alike(rows, src, dst)
+            last.clear()
+            last.update(zip(np.asarray(dst).tolist(), ok.tolist()))
+            return ok
+
+        monkeypatch.setattr(sysm, "moves_alike", recorded)
+        bank = synthesize_bank(sysm, atomics, base_id=0)
+        for i, safe in enumerate(atomics):
+            assert controller_equal(bank.table(i), safety_control(sysm, SafetySpec(safe)))
+        moved = np.array([False] + [last.get(int(c * nt), False) for c in inside])
+        assert not np.any(bank.derived & ~moved)
+        return bank.derived, moved, np.concatenate([[-1], inside])
+
+    def test_columns_at_the_faces_do_not_move_alike(self, sysm, monkeypatch):
+        # no fence: the reference is the full set
+        derived, moved, col = self._synthesize(sysm, np.ones(sysm.n_states, dtype=bool), monkeypatch)
+        nx, ny, _ = sysm.grid.shape
+        x, y = np.divmod(col[1:], ny)
+        face = (x == 0) | (x == nx - 1) | (y == 0) | (y == ny - 1)
+        assert face.any() and not np.any(moved[1:][face])
+        assert derived.any() and not derived[1:].all()
+
+    def test_blocking_products_are_narrowed(self, sysm, monkeypatch):
+        # a hole of two columns in the middle of the reference: next to it,
+        # the base and a translate's moved controller can leave no common
+        # input
+        nx, ny, nt = sysm.grid.shape
+        ref = np.ones((nx, ny, nt), dtype=bool)
+        ref[nx // 2 - 1:nx // 2 + 1, ny // 2 - 1] = False
+        derived, moved, _ = self._synthesize(sysm, ref.reshape(-1), monkeypatch)
+        assert derived.any() and np.any(moved & ~derived)
 
 
 class TestCompose:

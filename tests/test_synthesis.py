@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from parashield.abstraction import ExplicitAbstraction, build_abstraction
 from parashield.bench import (
-    brute_force_nonblocking,
     brute_force_safety_controller,
     random_state_set,
     random_system,
@@ -24,13 +23,13 @@ from parashield.synthesis import (
     _unpack_bool,
     closure_holds,
     controller_equal,
-    cpre,
     is_sub_controller,
     largest_nonblocking,
     product,
     safety_control,
     universe_controller,
 )
+from reference import brute_force_nonblocking, cpre
 
 sets_of_7 = st.sets(st.integers(0, 6))
 
