@@ -311,6 +311,16 @@ def _check_masks(n_states, removed, within):
     return size
 
 
+def _on_axis(n, lo, hi):
+    """Per cell i of an axis of n cells, as the leading axis, whether the
+    box [i + lo, i + hi] lies on the axis: i in [-lo, n - 1 - hi].  Clipping
+    the bounds to [-1, n] keeps the answer and lets the smallest integer
+    type that holds -n - 1 hold every operand."""
+    dtype = np.min_scalar_type(-n - 1)
+    i = np.arange(n, dtype=dtype)[:, None, None]
+    return (i >= np.clip(-lo, -1, n).astype(dtype)) & (i <= np.clip(n - 1 - hi, -1, n).astype(dtype))
+
+
 def _merge(rows, hits, more_rows, more_hits):
     """The union of two `pair_hits` answers, the hits of a shared row ORed."""
     at = np.searchsorted(rows, more_rows)
@@ -336,7 +346,9 @@ class BoxedAbstraction:
     K = (2Rx+1)(2Ry+1)(2Rt+1) offsets of the neighbourhood cover every box
     (the parts of a box outside the grid hold no member of any set).  Both hit
     tests read one relation, `inside[t, u, b]`: offset b lies in the box of
-    heading row t and input u.
+    heading row t and input u.  It holds per axis, so its tables are built
+    from three small memberships (x and y over their 2R+1 offsets, heading
+    modulo nt) and never as the full (nt, n_inputs, K) array.
 
     - Column test (`_column_hits`), for whole heading columns.  Every box
       spans a heading cell (`build_abstraction` shifts by floor(lo) <=
@@ -366,27 +378,26 @@ class BoxedAbstraction:
         self.n_states = grid.n_cells
         self.n_inputs = len(inputs)
         nx, ny, nt = grid.shape
-        # OUT where the box leaves the grid in x or y: per (x, heading row,
-        # input) and per (y, heading row, input); the packed complements are
-        # ANDed over the x-y plane
         lo, hi = offsets[..., 0], offsets[..., 1]
-        i = np.arange(nx)[:, None, None]
-        out_x = (i + lo[..., 0] < 0) | (i + hi[..., 0] > nx - 1)
-        i = np.arange(ny)[:, None, None]
-        out_y = (i + lo[..., 1] < 0) | (i + hi[..., 1] > ny - 1)
-        self.stays = (_pack_bool(~out_x)[:, None] & _pack_bool(~out_y)[None]).reshape(self.n_states, -1)
+        # OUT where the box leaves the grid in x or y: the packed bits of the
+        # x cells and of the y cells that keep it on, ANDed over the x-y plane
+        on_x, on_y = (_pack_bool(_on_axis(n, lo[..., d], hi[..., d])) for d, n in ((0, nx), (1, ny)))
+        self.stays = (on_x[:, None] & on_y[None]).reshape(self.n_states, -1)
         # the radius in heading never needs to exceed half the circle; in x
-        # and y, offsets past the grid's extent never land inside it
+        # and y, offsets past the grid's extent never land inside it (reduced
+        # one axis at a time: over axes (0, 1, 3) at once is 4x slower)
         shape = np.asarray(grid.shape, dtype=np.int64)
-        self.reach_radius = np.minimum(np.abs(offsets).max(axis=(0, 1, 3)),
+        self.reach_radius = np.minimum(np.abs(offsets.reshape(-1, 3, 2)).max(axis=0).max(axis=1),
                                        np.where(grid.periodic, shape // 2, shape - 1))
         rx, ry, rt = self.reach_radius.tolist()
         ox, oy, ot = (o.ravel() for o in np.meshgrid(
             *[np.arange(-r, r + 1) for r in self.reach_radius], indexing="ij"))
-        lo = offsets[..., 0, None]
-        hi = offsets[..., 1, None]
-        in_xy = (lo[:, :, 0] <= ox) & (ox <= hi[:, :, 0]) & (lo[:, :, 1] <= oy) & (oy <= hi[:, :, 1])
-        inside = in_xy & ((ot - lo[:, :, 2]) % nt < np.minimum(hi[:, :, 2] - lo[:, :, 2] + 1, nt))
+        # `inside` per axis, as (heading row, axis offset, input): x and y
+        # over their 2R + 1 offsets, heading modulo nt
+        ax, ay, at = (np.arange(-r, r + 1)[:, None] for r in (rx, ry, rt))
+        in_x = (lo[:, None, :, 0] <= ax) & (ax <= hi[:, None, :, 0])
+        in_y = (lo[:, None, :, 1] <= ay) & (ay <= hi[:, None, :, 1])
+        in_t = (at - lo[:, None, :, 2]) % nt < np.minimum(hi[..., 2] - lo[..., 2] + 1, nt)[:, None]
         # the column test's tables: the x-y plane padded by the radius, each
         # column's flat position in it and the steps to its x-y offsets
         # (every (2Rt+1)-th offset); the distinct x-y kernels, and per kernel
@@ -394,8 +405,14 @@ class BoxedAbstraction:
         self._plane_size = (nx + 2 * rx) * (ny + 2 * ry)
         self._plane_pos = ((np.arange(nx)[:, None] + rx) * (ny + 2 * ry) + np.arange(ny) + ry).ravel()
         self._plane_steps = (ox * (ny + 2 * ry) + oy)[::2 * rt + 1]
-        self._xy_kernels, kernel_of = np.unique(_pack_bool(in_xy[..., ::2 * rt + 1]).reshape(nt * self.n_inputs, -1),
-                                                axis=0, return_inverse=True)
+        xy = in_x.transpose(0, 2, 1)[..., None] & in_y.transpose(0, 2, 1)[..., None, :]
+        kernels = _pack_bool(xy.reshape(nt * self.n_inputs, -1))
+        if kernels.shape[1] == 1:
+            # one word each: unique as numbers, several times faster than as rows
+            words, kernel_of = np.unique(kernels[:, 0], return_inverse=True)
+            self._xy_kernels = words[:, None]
+        else:
+            self._xy_kernels, kernel_of = np.unique(kernels, axis=0, return_inverse=True)
         kernel_of = kernel_of.reshape(nt, self.n_inputs) == np.arange(len(self._xy_kernels))[:, None, None]
         self._kernel_inputs = _pack_bool(kernel_of).reshape(len(self._xy_kernels), -1)
         # the predecessor test's tables, per (heading row or x-y column of a
@@ -411,7 +428,11 @@ class BoxedAbstraction:
         self._pred_keys = (shift << 32) - (pt * k + np.arange(k))
         px, py = np.arange(nx)[:, None] - ox, np.arange(ny)[:, None] - oy
         self._pred_on_grid = (((px >= 0) & (px < nx))[:, None] & ((py >= 0) & (py < ny))[None]).reshape(nx * ny, k)
-        self._pred_masks = _rows(_pack_bool(inside.transpose(0, 2, 1).copy()).reshape(nt * k, -1))
+        # packing commutes with AND: `inside` packed is the outer AND of the
+        # packed axes
+        wx, wy, wt = (_pack_bool(a) for a in (in_x, in_y, in_t))
+        self._pred_masks = _rows((wx[:, :, None, None] & wy[:, None, :, None] & wt[:, None, None, :])
+                                 .reshape(nt * k, -1))
         h = hashlib.sha256()
         h.update(b"PSHD-offsets")
         h.update(grid._canonical_bytes())

@@ -477,10 +477,13 @@ def shield_apply(shield: Shield, cell, proposed) -> ShieldDecision:
     The proposal is snapped to the input grid before the membership test.
     Overrides minimize Euclidean distance to the proposal; ties go to the
     lowest input index.  Raises DomainViolation outside the shield's domain:
-    there the safety guarantee is void and the caller owns the failsafe.
+    there the safety guarantee is void and the caller owns the failsafe.  A
+    cell outside [0, n_states) is outside it too, and named as such.
     """
     cell = int(cell)
     table = shield.table
+    if not 0 <= cell < table.n_states:
+        raise DomainViolation(f"cell {cell} is not one of the shield's {table.n_states} states")
     if not table.defined[cell]:
         raise DomainViolation(f"cell {cell} is outside the shield domain")
     proposed = np.asarray(proposed, dtype=np.float64)
@@ -574,8 +577,9 @@ def load_bank(path, sys, spot_check=1) -> AtomicShieldBank:
     safe_ref = np.unpackbits(a["safe_ref"], count=n).view(bool)
     if not np.all(safe_ref[a["safe_idx"]]):
         raise ValueError(f"{path}: a safe set lacks a state outside the reference set")
-    # the base is nonblocking: its domain is its rows with an input
-    base = ControllerTable(n, sys.n_inputs, ~_empty_rows(a["base_masks"]), a["base_masks"])
+    # the base is nonblocking: its domain is its rows with an input, so its
+    # undefined rows are clear
+    base = ControllerTable(n, sys.n_inputs, ~_empty_rows(a["base_masks"]), a["base_masks"], canonical=True)
     bank = AtomicShieldBank(sys, StateSets(safe_ref, a["safe_ptr"], a["safe_idx"]), base, tpl_rows,
                             a["tpl_masks"], group, a["shift"], ptr, idx, a["exc_masks"])
     for i in np.random.default_rng().choice(n_atomics, size=min(spot_check, n_atomics), replace=False):

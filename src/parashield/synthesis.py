@@ -138,12 +138,16 @@ class SafetySpec:
 
 
 def _pack_bool(bits):
-    """Pack booleans along the last axis into little-endian 64-bit words."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    n_words = (bits.shape[-1] + 63) // 64
-    octets = np.zeros(bits.shape[:-1] + (8 * n_words,), dtype=np.uint8)
-    octets[..., :packed.shape[-1]] = packed
-    return octets.view("<u8")
+    """Pack booleans along the last axis into little-endian 64-bit words:
+    padded once to whole words, then packed flat."""
+    m = bits.shape[-1]
+    words = (m + 63) // 64
+    lead = bits.shape[:-1]
+    if m != 64 * words:
+        padded = np.zeros(lead + (64 * words,), dtype=bool)
+        padded[..., :m] = bits
+        bits = padded
+    return np.packbits(bits.reshape(-1), bitorder="little").view("<u8").reshape(lead + (words,))
 
 
 def _unpack_bool(masks, m):
@@ -182,14 +186,17 @@ class ControllerTable:
     allowed set; products keep such blocking states so the deadlock-removal
     pass sees them.  Allowed sets are packed into 64-bit words, one
     C-contiguous row per state, so that `_rows` can move whole rows.
+    Undefined rows carry no bits; a caller whose undefined rows are known to
+    be clear passes `canonical=True`, which skips the pass that clears them.
     """
 
-    def __init__(self, n_states, n_inputs, defined, masks):
+    def __init__(self, n_states, n_inputs, defined, masks, canonical=False):
         self.n_states = int(n_states)
         self.n_inputs = int(n_inputs)
         self.defined = np.asarray(defined, dtype=bool)
         self.masks = np.ascontiguousarray(masks, dtype=np.uint64)
-        self.masks[~self.defined] = 0  # canonical: undefined rows carry no bits
+        if not canonical:
+            self.masks[~self.defined] = 0
 
     @classmethod
     def from_bool(cls, defined, allowed):
@@ -259,7 +266,8 @@ def universe_controller(sys) -> ControllerTable:
     the abstraction's `stays`.  Each call returns a fresh table, because
     `_narrow` narrows the table it is given in place.
     """
-    return ControllerTable(sys.n_states, sys.n_inputs, np.ones(sys.n_states, dtype=bool), sys.stays.copy())
+    return ControllerTable(sys.n_states, sys.n_inputs, np.ones(sys.n_states, dtype=bool), sys.stays.copy(),
+                           canonical=True)
 
 
 def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None, touched=None):

@@ -707,6 +707,21 @@ class TestShieldApply:
         with pytest.raises(DomainViolation):
             shield_apply(sh, 5, (0.0,))
 
+    @pytest.mark.parametrize("cell", [-1, -7, 7, 8])
+    def test_cell_outside_the_states(self, automaton7_bank, cell):
+        sh = compose(automaton7_bank, {0, 1})
+        with pytest.raises(DomainViolation, match=f"cell {cell} is not one of the shield's 7 states"):
+            shield_apply(sh, cell, (0.0,))
+
+    def test_negative_cell_does_not_wrap(self, coarse_rt):
+        # numpy would read cell c - n as cell c, which is in the domain
+        sh = compose(coarse_rt.bank, [0])
+        n = coarse_rt.sys.n_states
+        assert sh.table.defined[12487]
+        shield_apply(sh, 12487, (0.0, 0.0))
+        with pytest.raises(DomainViolation, match=f"cell {12487 - n} is not one of the shield's {n} states"):
+            shield_apply(sh, 12487 - n, (0.0, 0.0))
+
     def test_minimal_intervention_predicate(self, automaton7, automaton7_bank, rng):
         sh = compose(automaton7_bank, {0, 1})
         for cell in sh.table.domain().indices():

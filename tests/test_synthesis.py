@@ -399,3 +399,17 @@ class TestBitPacking:
         assert np.array_equal(packed, pack_reference(allowed))
         assert np.array_equal(_unpack_bool(packed, m), unpack_reference(packed, m))
         assert np.array_equal(_unpack_bool(packed, m), allowed)
+
+    @pytest.mark.parametrize("m", [1, 9, 64, 85, 130])
+    @pytest.mark.parametrize("lead", [(0,), (5,), (0, 3), (3, 0), (4, 7)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_any_leading_shape_and_layout(self, m, lead, transposed, rng):
+        if transposed:
+            # a non-contiguous view (unless empty or one wide): the packed
+            # axis strides across rows
+            bits = (rng.random((m,) + lead[::-1]) < 0.5).T
+        else:
+            bits = rng.random(lead + (m,)) < 0.5
+        packed = _pack_bool(bits)
+        assert packed.dtype == np.uint64 and packed.shape == lead + ((m + 63) // 64,)
+        assert np.array_equal(packed.reshape(-1, packed.shape[-1]), pack_reference(bits.reshape(-1, m)))
