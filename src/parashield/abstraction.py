@@ -311,16 +311,6 @@ def _check_masks(n_states, removed, within):
     return size
 
 
-def _on_axis(n, lo, hi):
-    """Per cell i of an axis of n cells, as the leading axis, whether the
-    box [i + lo, i + hi] lies on the axis: i in [-lo, n - 1 - hi].  Clipping
-    the bounds to [-1, n] keeps the answer and lets the smallest integer
-    type that holds -n - 1 hold every operand."""
-    dtype = np.min_scalar_type(-n - 1)
-    i = np.arange(n, dtype=dtype)[:, None, None]
-    return (i >= np.clip(-lo, -1, n).astype(dtype)) & (i <= np.clip(n - 1 - hi, -1, n).astype(dtype))
-
-
 def _merge(rows, hits, more_rows, more_hits):
     """The union of two `pair_hits` answers, the hits of a shared row ORed."""
     at = np.searchsorted(rows, more_rows)
@@ -381,13 +371,15 @@ class BoxedAbstraction:
         lo, hi = offsets[..., 0], offsets[..., 1]
         # OUT where the box leaves the grid in x or y: the packed bits of the
         # x cells and of the y cells that keep it on, ANDed over the x-y plane
-        on_x, on_y = (_pack_bool(_on_axis(n, lo[..., d], hi[..., d])) for d, n in ((0, nx), (1, ny)))
+        i = np.arange(nx)[:, None, None]
+        on_x = _pack_bool((i >= -lo[..., 0]) & (i <= nx - 1 - hi[..., 0]))
+        i = np.arange(ny)[:, None, None]
+        on_y = _pack_bool((i >= -lo[..., 1]) & (i <= ny - 1 - hi[..., 1]))
         self.stays = (on_x[:, None] & on_y[None]).reshape(self.n_states, -1)
         # the radius in heading never needs to exceed half the circle; in x
-        # and y, offsets past the grid's extent never land inside it (reduced
-        # one axis at a time: over axes (0, 1, 3) at once is 4x slower)
+        # and y, offsets past the grid's extent never land inside it
         shape = np.asarray(grid.shape, dtype=np.int64)
-        self.reach_radius = np.minimum(np.abs(offsets.reshape(-1, 3, 2)).max(axis=0).max(axis=1),
+        self.reach_radius = np.minimum(np.abs(offsets).max(axis=(0, 1, 3)),
                                        np.where(grid.periodic, shape // 2, shape - 1))
         rx, ry, rt = self.reach_radius.tolist()
         ox, oy, ot = (o.ravel() for o in np.meshgrid(

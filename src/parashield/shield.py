@@ -579,7 +579,7 @@ def load_bank(path, sys, spot_check=1) -> AtomicShieldBank:
         raise ValueError(f"{path}: a safe set lacks a state outside the reference set")
     # the base is nonblocking: its domain is its rows with an input, so its
     # undefined rows are clear
-    base = ControllerTable(n, sys.n_inputs, ~_empty_rows(a["base_masks"]), a["base_masks"], canonical=True)
+    base = ControllerTable(n, sys.n_inputs, ~_empty_rows(a["base_masks"]), a["base_masks"])
     bank = AtomicShieldBank(sys, StateSets(safe_ref, a["safe_ptr"], a["safe_idx"]), base, tpl_rows,
                             a["tpl_masks"], group, a["shift"], ptr, idx, a["exc_masks"])
     for i in np.random.default_rng().choice(n_atomics, size=min(spot_check, n_atomics), replace=False):

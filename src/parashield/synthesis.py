@@ -186,21 +186,20 @@ class ControllerTable:
     allowed set; products keep such blocking states so the deadlock-removal
     pass sees them.  Allowed sets are packed into 64-bit words, one
     C-contiguous row per state, so that `_rows` can move whole rows.
-    Undefined rows carry no bits; a caller whose undefined rows are known to
-    be clear passes `canonical=True`, which skips the pass that clears them.
+    Tables are canonical: undefined rows carry no bits.  `__init__` requires
+    this of the masks it is given; `from_bool` clears undefined rows itself.
     """
 
-    def __init__(self, n_states, n_inputs, defined, masks, canonical=False):
+    def __init__(self, n_states, n_inputs, defined, masks):
         self.n_states = int(n_states)
         self.n_inputs = int(n_inputs)
         self.defined = np.asarray(defined, dtype=bool)
         self.masks = np.ascontiguousarray(masks, dtype=np.uint64)
-        if not canonical:
-            self.masks[~self.defined] = 0
 
     @classmethod
     def from_bool(cls, defined, allowed):
-        return cls(allowed.shape[0], allowed.shape[1], defined, _pack_bool(allowed))
+        defined = np.asarray(defined, dtype=bool)
+        return cls(allowed.shape[0], allowed.shape[1], defined, _pack_bool(allowed & defined[:, None]))
 
     @property
     def words(self):
@@ -228,7 +227,6 @@ class ControllerTable:
             raise UniverseMismatch("controller tables over different universes")
 
     def copy(self):
-        # the source is already canonical, so `__init__` is skipped
         tab = copy.copy(self)
         tab.defined, tab.masks = self.defined.copy(), self.masks.copy()
         return tab
@@ -266,8 +264,7 @@ def universe_controller(sys) -> ControllerTable:
     the abstraction's `stays`.  Each call returns a fresh table, because
     `_narrow` narrows the table it is given in place.
     """
-    return ControllerTable(sys.n_states, sys.n_inputs, np.ones(sys.n_states, dtype=bool), sys.stays.copy(),
-                           canonical=True)
+    return ControllerTable(sys.n_states, sys.n_inputs, np.ones(sys.n_states, dtype=bool), sys.stays.copy())
 
 
 def _narrow(sys, table: ControllerTable, removed, iteration_sizes=None, touched=None):

@@ -286,6 +286,16 @@ class TestProduct:
         assert controller_equal(ab, ba)
         assert controller_equal(product(ab, ts[2]), product(ts[0], product(ts[1], ts[2])))
 
+    def test_rows_outside_either_domain_are_clear(self, rng):
+        # tables are canonical, and the product of two canonical tables is too
+        sysm = random_system(rng)
+        a, b = (ControllerTable.from_bool(rng.random(sysm.n_states) < 0.7,
+                                          np.ones((sysm.n_states, sysm.n_inputs), bool)) for _ in range(2))
+        ab = product(a, b)
+        assert not np.any(ab.masks[~ab.defined])
+        assert np.array_equal(_unpack_bool(ab.masks[ab.defined], sysm.n_inputs),
+                              np.ones((ab.domain_size(), sysm.n_inputs), bool))
+
     def test_universe_mismatch(self, automaton7, rng):
         sysm, g, _ = automaton7
         t = safety_control(sysm, SafetySpec(g))
@@ -337,6 +347,11 @@ class TestControllerEqual:
         t2 = t.copy()
         t2.masks[0, 0] ^= np.uint64(2)
         assert not controller_equal(t, t2)
+
+    def test_from_bool_clears_undefined_rows(self):
+        t = ControllerTable.from_bool(np.array([True, False, True]), np.ones((3, 70), bool))
+        assert np.array_equal(t.masks[1], [0, 0])
+        assert controller_equal(t, ControllerTable.from_bool(t.defined, np.array([[True] * 70, [False] * 70, [True] * 70])))
 
     def test_defined_empty_differs_from_undefined(self):
         a = ControllerTable.from_bool(np.array([True, False]), np.zeros((2, 3), bool))
